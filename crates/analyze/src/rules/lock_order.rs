@@ -79,6 +79,12 @@ const LOCK_RANKS: &[(&str, u32)] = &[
     ("work", 13),
     // core pool / engine batch: per-item output slots — leaf.
     ("slots", 14),
+    // perfbench: the traced replay's span recorder (also bound as `t`
+    // in closures) — leaf, every acquisition a consuming temporary.
+    ("tracer", 15),
+    ("t", 15),
+    // perfbench: the durability sink wrapper's store tally — leaf.
+    ("tally", 16),
 ];
 
 fn rank_of(field: &str) -> Option<u32> {

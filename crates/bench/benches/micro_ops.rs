@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the physical operators behind Thm. 4.5's
-//! cost model: sorted-merge join, pair intersection, class-id intersection,
-//! and index lookup — the primitives every table cell is made of.
+//! cost model: the row-accumulator join (sparse and dense operands) and
+//! its `JOIN-ID` probe, pair intersection, class-id intersection, and
+//! index lookup — the primitives every table cell is made of.
 
 use cpqx_core::exec::intersect_ids;
 use cpqx_core::CpqxIndex;
@@ -26,6 +27,30 @@ fn bench_join(c: &mut Criterion) {
         let right = random_pairs(n, 2_000, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| ops::join_pairs(&left, &right));
+        });
+    }
+    group.finish();
+
+    // The StringHS C4 shape: 300 vertices, ~70k pairs per side, so every
+    // right row is a bitset and each answer row is a row-OR.
+    let left = random_pairs(135_000, 300, 5);
+    let right = random_pairs(135_000, 300, 6);
+    let mut ctx = ops::EvalContext::new();
+    let mut group = c.benchmark_group("join_dense");
+    group.bench_function(BenchmarkId::new("join_pairs", left.len()), |b| {
+        b.iter(|| ctx.join_pairs(&left, &right));
+    });
+    group.bench_function(BenchmarkId::new("join_pairs_id", left.len()), |b| {
+        b.iter(|| ctx.join_pairs_id(&left, &right));
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("join_pairs_id");
+    for &n in &[1_000usize, 10_000, 100_000] {
+        let left = random_pairs(n, 2_000, 7);
+        let right = random_pairs(n, 2_000, 8);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| ops::join_pairs_id(&left, &right));
         });
     }
     group.finish();

@@ -5,7 +5,9 @@
 //! per-request framing + syscall overhead; concurrent clients close most
 //! of the gap (the worker pool overlaps parsing/evaluation with I/O);
 //! one BATCH frame amortizes framing across the whole workload and lands
-//! near in-process batch throughput.
+//! near in-process batch throughput. A BATCH whose reply would exceed the
+//! frame limit comes back as a `TOO_LARGE` error and is re-sent as two
+//! halves.
 //!
 //! Knobs: the usual `CPQX_*` variables plus `CPQX_NET_CLIENTS`
 //! (default 4) and `CPQX_NET_ROUNDS` (default 3 — workload repeats per
@@ -15,7 +17,7 @@ use cpqx_bench::harness::workload_for;
 use cpqx_bench::{env_parse, BenchConfig, Table};
 use cpqx_engine::{BatchOptions, Engine, EngineOptions, ExecOptions};
 use cpqx_graph::datasets::Dataset;
-use cpqx_net::{Client, Server, ServerOptions};
+use cpqx_net::{Client, ClientError, ErrorCode, Server, ServerOptions};
 use cpqx_query::ast::Template;
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,11 +122,12 @@ fn main() {
         });
         let wiren_qps = (rounds * texts.len()) as f64 / t0.elapsed().as_secs_f64();
 
-        // One BATCH frame per round, on a fresh connection.
+        // One BATCH frame per round (split only past the frame limit),
+        // on a fresh connection.
         let mut c = Client::connect(addr).expect("connect");
         let t0 = Instant::now();
         for _ in 0..rounds {
-            std::hint::black_box(c.batch(&texts).expect("batch").results.len());
+            std::hint::black_box(batch_all(&mut c, &texts));
         }
         let batch_qps = (rounds * texts.len()) as f64 / t0.elapsed().as_secs_f64();
 
@@ -149,4 +152,17 @@ fn main() {
         "\nInvariant check: batch qps should dominate single-request wire qps (framing is \
          amortized); concurrent wire qps should exceed single-client wire qps."
     );
+}
+
+/// Sends `texts` as one BATCH frame, halving any batch whose reply the
+/// server refuses as too large for a frame. Returns the result count.
+fn batch_all<S: AsRef<str>>(c: &mut Client, texts: &[S]) -> usize {
+    match c.batch(texts) {
+        Ok(reply) => reply.results.len(),
+        Err(ClientError::Server(e)) if e.code == ErrorCode::TooLarge && texts.len() > 1 => {
+            let (a, b) = texts.split_at(texts.len() / 2);
+            batch_all(c, a) + batch_all(c, b)
+        }
+        Err(e) => panic!("batch: {e}"),
+    }
 }

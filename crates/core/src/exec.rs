@@ -7,6 +7,12 @@
 //! IDENTITY on a class set is an O(1) per-class flag check. JOIN must
 //! materialize pairs (Algorithm 4's JOIN), as does any operator with one
 //! materialized operand. The root expands surviving classes through `Ic2p`.
+//!
+//! Pair-level joins run on the output-sensitive row-accumulator kernel of
+//! [`cpqx_query::ops`]: their cost tracks the operands plus the answer,
+//! never the `(v, u, y)` candidates of a materialize-then-sort join. The
+//! executor holds one [`EvalContext`] so every join of a plan reuses its
+//! scratch.
 
 use crate::bisim::ClassId;
 use crate::index::CpqxIndex;
@@ -38,13 +44,13 @@ pub struct ExecOptions {
     /// materialized pairs.
     pub fused_identity: bool,
     /// Route single-label join operands through the graph's per-chunk CSR
-    /// read faces ([`cpqx_graph::csr`]): a chain suffix `P ⋈ ⟦ℓ⟧` expands
-    /// over forward faces, a chain prefix `⟦ℓ⟧ ⋈ P` streams reverse faces
-    /// — neither materializes or re-sorts the label relation. When off,
-    /// every join expands both operands from the index and sorted-merges
-    /// them (the chunked-row baseline the differential harness and the
-    /// `fig06_csr` bench compare against). Answers are identical either
-    /// way.
+    /// read faces ([`cpqx_graph::csr`]): a chain suffix `P ⋈ ⟦ℓ⟧` takes
+    /// its right rows from the faces, a chain prefix `⟦ℓ⟧ ⋈ P` its left
+    /// rows — neither materializes or sorts the label relation. When off,
+    /// every join expands both operands from the index and joins them as
+    /// pair sets (the chunked-row baseline the differential harness and
+    /// the `fig06_csr` bench compare against). Answers are identical
+    /// either way.
     pub csr_faces: bool,
 }
 
@@ -68,13 +74,13 @@ pub struct ExecStats {
     pub class_conjunctions: usize,
     /// Conjunctions that had to intersect pair sets.
     pub pair_intersections: usize,
-    /// Sorted-merge joins executed.
+    /// Pair-level joins executed.
     pub joins: usize,
     /// Joins answered through a CSR read face (a subset of `joins`):
-    /// the single-label operand streamed the graph's per-chunk forward
-    /// or reverse face instead of expanding from the index. Always 0
-    /// with [`ExecOptions::csr_faces`] off — benches use this to tell
-    /// cells where the fast path engaged from cells it cannot touch.
+    /// the single-label operand was read from the graph's per-chunk
+    /// faces instead of expanding from the index. Always 0 with
+    /// [`ExecOptions::csr_faces`] off — benches use this to tell cells
+    /// where the fast path engaged from cells it cannot touch.
     pub csr_joins: usize,
 }
 
@@ -215,15 +221,14 @@ impl<'i, 'g> Executor<'i, 'g> {
     /// When [`ExecOptions::csr_faces`] is on (and identity stays fused), a
     /// single-label operand is executed against the graph's per-chunk CSR
     /// faces instead of being expanded from the index: a label *right*
-    /// operand becomes a forward-face frontier expansion, a label *left*
-    /// operand a reverse-face streamed merge — in both cases the label
-    /// relation is never materialized, re-keyed, or sorted. The `Il2c`
-    /// lookup still runs (it is the emptiness check and keeps the EXPLAIN
-    /// counters describing the same logical work), but its classes are
-    /// not expanded.
+    /// operand supplies the join rows from forward faces, a label *left*
+    /// operand its row middles — in both cases the label relation is never
+    /// materialized or sorted. The `Il2c` lookup still runs (it is the
+    /// emptiness check and keeps the EXPLAIN counters describing the same
+    /// logical work), but its classes are not expanded.
     fn join(&self, a: &Plan, b: &Plan, require_loop: bool) -> Intermediate {
         let csr = self.options.csr_faces && (self.options.fused_identity || !require_loop);
-        // Label prefix: ⟦ℓ⟧ ⋈ P over reverse faces.
+        // Label prefix: ⟦ℓ⟧ ⋈ P, left rows from forward faces.
         if csr && self.single_label(a).is_some() && self.single_label(b).is_none() {
             let (seq, l) = self.single_label(a).unwrap();
             if self.lookup_counted(seq).is_empty() {
@@ -234,13 +239,14 @@ impl<'i, 'g> Executor<'i, 'g> {
                 s.joins += 1;
                 s.csr_joins += 1;
             });
-            return Intermediate::Pairs(ops::join_label_left(self.graph, l, &right, require_loop));
+            let mut ctx = self.ctx.borrow_mut();
+            return Intermediate::Pairs(ctx.join_label_left(self.graph, l, &right, require_loop));
         }
         let left = self.pairs(self.eval(a));
         if left.is_empty() {
             return Intermediate::Pairs(Vec::new());
         }
-        // Label suffix: P ⋈ ⟦ℓ⟧ over forward faces.
+        // Label suffix: P ⋈ ⟦ℓ⟧, right rows from forward faces.
         if csr {
             if let Some((seq, l)) = self.single_label(b) {
                 self.bump(|s| {
@@ -250,10 +256,11 @@ impl<'i, 'g> Executor<'i, 'g> {
                 if self.lookup_counted(seq).is_empty() {
                     return Intermediate::Pairs(Vec::new());
                 }
+                let mut ctx = self.ctx.borrow_mut();
                 return Intermediate::Pairs(if require_loop {
-                    ops::expand_adjacency_id(self.graph, &left, l)
+                    ctx.expand_adjacency_id(self.graph, &left, l)
                 } else {
-                    ops::expand_adjacency(self.graph, &left, l)
+                    ctx.expand_adjacency(self.graph, &left, l)
                 });
             }
         }
@@ -299,16 +306,12 @@ impl<'i, 'g> Executor<'i, 'g> {
     }
 
     /// `⋃_{c} Ic2p(c)`, normalized. Classes are disjoint, so only a sort is
-    /// needed.
+    /// needed (a counting sort by source when the source range allows).
     fn expand(&self, cs: &[ClassId]) -> Vec<Pair> {
-        let total: usize = cs.iter().map(|&c| self.index.class_pairs(c).len()).sum();
+        let parts: Vec<&[Pair]> = cs.iter().map(|&c| self.index.class_pairs(c)).collect();
+        let total: usize = parts.iter().map(|p| p.len()).sum();
         self.bump(|s| s.pairs_materialized += total);
-        let mut out = Vec::with_capacity(total);
-        for &c in cs {
-            out.extend_from_slice(self.index.class_pairs(c));
-        }
-        out.sort_unstable();
-        out
+        cpqx_graph::pair::sorted_concat(&parts, total)
     }
 }
 

@@ -8,9 +8,10 @@
 //! ids and `Ic2p` mapping class ids to s-t pairs. Query processing
 //! ([`exec`], Algorithms 3–4) stays at the class level through conjunctions
 //! and identity checks, pruning without touching pairs; joins materialize
-//! through sorted-merge operators. The full index life cycle is supported:
-//! construction, query processing, and lazy maintenance under edge, vertex,
-//! and interest updates ([`maintain`], Secs. IV-E, V-C).
+//! through output-sensitive row-accumulator operators. The full index life
+//! cycle is supported: construction, query processing, and lazy
+//! maintenance under edge, vertex, and interest updates ([`maintain`],
+//! Secs. IV-E, V-C).
 //!
 //! # Example
 //!

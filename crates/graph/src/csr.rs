@@ -1,28 +1,21 @@
-//! Per-chunk, per-label **bidirectional CSR read faces**.
+//! Per-chunk, per-label **CSR read faces**.
 //!
 //! The copy-on-write [`VertexChunk`](crate::graph) storage is shaped for
 //! writes: per-vertex adjacency rows and per-label pair segments that an
 //! edge mutation can update in O(log) after copying one chunk. Reads
 //! deserve a denser form. A [`ChunkCsr`] is the read-optimized face of one
 //! chunk: for every extended label that has pairs in the chunk, a
-//! [`LabelFace`] holding
-//!
-//! * a **forward** CSR — one `u32` offset per vertex row into a flat
-//!   sorted target array, so `targets(v, ℓ)` is two array loads instead of
-//!   two binary searches over the mixed-label adjacency row, and
-//! * a **reverse** CSR — the chunk's pairs re-keyed by *target*:
-//!   compacted sorted target keys, offsets, and grouped source arrays, so
-//!   joins that need the left operand target-major can stream it without
-//!   materializing or re-sorting anything (see
-//!   `cpqx_query::ops::join_label_left`).
+//! [`LabelFace`] holding a CSR — one `u32` offset per vertex row into a
+//! flat sorted target array, so `targets(v, ℓ)` is two array loads
+//! instead of two binary searches over the mixed-label adjacency row.
+//! Faces are bidirectional through the label alphabet: the reverse of
+//! `ℓ` is the face of the extended label `ℓ⁻¹`.
 //!
 //! # Invariants
 //!
-//! * `fwd` targets per row are strictly sorted; their concatenation in row
+//! * Targets per row are strictly sorted; their concatenation in row
 //!   order equals the chunk's source-contiguous pair segment for the
-//!   label. `rev` keys are strictly sorted and each key's source group is
-//!   strictly sorted — the reverse face is exactly the segment's pairs
-//!   swapped and re-sorted.
+//!   label.
 //! * A face is **built lazily** on first read after construction or
 //!   mutation ([`Graph::csr_chunk`](crate::Graph::csr_chunk) /
 //!   [`Graph::csr_targets`](crate::Graph::csr_targets)) and cached inside
@@ -43,19 +36,13 @@ use crate::graph::VertexId;
 use crate::label::ExtLabel;
 use crate::pair::Pair;
 
-/// The bidirectional CSR of one extended label inside one chunk (see the
-/// module docs for the invariants).
+/// The CSR of one extended label inside one chunk (see the module docs
+/// for the invariants).
 pub struct LabelFace {
     /// `fwd_offsets[r]..fwd_offsets[r + 1]` indexes `fwd_targets` with the
     /// sorted targets of vertex `start + r`. Length `rows + 1`.
     fwd_offsets: Vec<u32>,
     fwd_targets: Vec<VertexId>,
-    /// Compacted strictly-sorted target keys of the reverse face.
-    rev_keys: Vec<VertexId>,
-    /// `rev_offsets[i]..rev_offsets[i + 1]` indexes `rev_sources` with the
-    /// sorted sources reaching `rev_keys[i]`. Length `rev_keys.len() + 1`.
-    rev_offsets: Vec<u32>,
-    rev_sources: Vec<VertexId>,
 }
 
 impl LabelFace {
@@ -75,21 +62,7 @@ impl LabelFace {
             fwd_offsets.push(fwd_targets.len() as u32);
         }
         debug_assert_eq!(i, segment.len(), "segment sources outside chunk range");
-
-        let mut swapped: Vec<Pair> = segment.iter().map(|p| p.swap()).collect();
-        swapped.sort_unstable();
-        let mut rev_keys = Vec::new();
-        let mut rev_offsets = Vec::new();
-        let mut rev_sources = Vec::with_capacity(swapped.len());
-        for p in swapped {
-            if rev_keys.last() != Some(&p.src()) {
-                rev_keys.push(p.src());
-                rev_offsets.push(rev_sources.len() as u32);
-            }
-            rev_sources.push(p.dst());
-        }
-        rev_offsets.push(rev_sources.len() as u32);
-        LabelFace { fwd_offsets, fwd_targets, rev_keys, rev_offsets, rev_sources }
+        LabelFace { fwd_offsets, fwd_targets }
     }
 
     /// Number of pairs the face covers.
@@ -102,24 +75,6 @@ impl LabelFace {
     #[inline]
     pub fn targets_of_row(&self, r: usize) -> &[VertexId] {
         &self.fwd_targets[self.fwd_offsets[r] as usize..self.fwd_offsets[r + 1] as usize]
-    }
-
-    /// The strictly-sorted compacted target keys of the reverse face.
-    #[inline]
-    pub fn rev_keys(&self) -> &[VertexId] {
-        &self.rev_keys
-    }
-
-    /// Sorted sources reaching `rev_keys()[i]`.
-    #[inline]
-    pub fn rev_sources(&self, i: usize) -> &[VertexId] {
-        &self.rev_sources[self.rev_offsets[i] as usize..self.rev_offsets[i + 1] as usize]
-    }
-
-    /// Iterates the reverse face as `(target, sorted sources)` groups in
-    /// ascending target order.
-    pub fn rev_groups(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
-        self.rev_keys.iter().enumerate().map(|(i, &t)| (t, self.rev_sources(i)))
     }
 }
 

@@ -51,9 +51,9 @@ pub(crate) struct VertexChunk {
     /// in this chunk's range (a source-contiguous segment of the global
     /// relation).
     pub(crate) pairs: Vec<Vec<Pair>>,
-    /// Lazily built read-optimized face ([`crate::csr`]): per-label
-    /// bidirectional CSR over this chunk's pairs. Built on first read
-    /// after construction or mutation; **every** mutation seam takes the
+    /// Lazily built read-optimized face ([`crate::csr`]): per-label CSR
+    /// over this chunk's pairs. Built on first read after construction
+    /// or mutation; **every** mutation seam takes the
     /// cache after `Arc::make_mut` (mandatory — at refcount 1 `make_mut`
     /// mutates in place without cloning). Cloning a chunk keeps the cache:
     /// the clone's bytes are identical, so the face is still valid, which

@@ -22,9 +22,9 @@
 //! * [`io`] — a plain-text edge-list format,
 //! * [`view`] — zero-copy source-range shard views over the edge lists
 //!   (the unit of parallelism for sharded index construction),
-//! * [`csr`] — lazily built per-chunk, per-label bidirectional CSR read
-//!   faces (the read-optimized counterpart of the copy-on-write chunks,
-//!   invalidated by mutation, shared across snapshot installs).
+//! * [`csr`] — lazily built per-chunk, per-label CSR read faces (the
+//!   read-optimized counterpart of the copy-on-write chunks, invalidated
+//!   by mutation, shared across snapshot installs).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

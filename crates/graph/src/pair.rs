@@ -52,9 +52,81 @@ impl fmt::Debug for Pair {
 }
 
 /// Sorts and deduplicates a pair vector in place (set normalization).
+/// Uses the counting sort of [`sorted_concat`] when the source range is
+/// no larger than the input.
 pub fn normalize(pairs: &mut Vec<Pair>) {
-    pairs.sort_unstable();
+    if let Some(sorted) = counting_sort(&[pairs.as_slice()], pairs.len()) {
+        *pairs = sorted;
+    } else {
+        pairs.sort_unstable();
+    }
     pairs.dedup();
+}
+
+/// Concatenates `parts` (holding `total` pairs) into one sorted vector
+/// (duplicates kept). When the source range is no larger than `total`,
+/// a counting sort by source replaces the comparison sort: `O(total +
+/// range)` with a stable pre-pass by target when the target range is
+/// small too, otherwise plus a sort of each source's bucket.
+pub fn sorted_concat(parts: &[&[Pair]], total: usize) -> Vec<Pair> {
+    counting_sort(parts, total).unwrap_or_else(|| {
+        let mut out = Vec::with_capacity(total);
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        out.sort_unstable();
+        out
+    })
+}
+
+/// The counting sort behind [`sorted_concat`]; `None` when the source
+/// range exceeds `total` (or there is nothing to sort).
+fn counting_sort(parts: &[&[Pair]], total: usize) -> Option<Vec<Pair>> {
+    let items = || parts.iter().flat_map(|part| part.iter().copied());
+    let (mut src, mut dst) = ((VertexId::MAX, 0), (VertexId::MAX, 0));
+    for p in items() {
+        src = (src.0.min(p.src()), src.1.max(p.src()));
+        dst = (dst.0.min(p.dst()), dst.1.max(p.dst()));
+    }
+    if total < 2 || (src.1 - src.0) as usize >= total {
+        return None;
+    }
+    if ((dst.1 - dst.0) as usize) < total {
+        // LSD radix: stable by target, then stable by source.
+        let by_dst = scatter_by(items(), total, dst, Pair::dst);
+        return Some(scatter_by(by_dst.iter().copied(), total, src, Pair::src));
+    }
+    let mut out = scatter_by(items(), total, src, Pair::src);
+    for bucket in out.chunk_by_mut(|a, b| a.src() == b.src()) {
+        bucket.sort_unstable();
+    }
+    Some(out)
+}
+
+/// Stable counting sort of `total` pairs by `key`, whose values lie in
+/// the inclusive range `(lo, hi)`.
+fn scatter_by(
+    items: impl Iterator<Item = Pair> + Clone,
+    total: usize,
+    (lo, hi): (VertexId, VertexId),
+    key: impl Fn(Pair) -> VertexId,
+) -> Vec<Pair> {
+    // starts[k + 1] counts key lo + k; the prefix sum turns starts[k]
+    // into the first slot of key lo + k.
+    let mut starts = vec![0usize; (hi - lo) as usize + 2];
+    for p in items.clone() {
+        starts[(key(p) - lo) as usize + 1] += 1;
+    }
+    for k in 1..starts.len() {
+        starts[k] += starts[k - 1];
+    }
+    let mut out = vec![Pair(0); total];
+    for p in items {
+        let slot = &mut starts[(key(p) - lo) as usize];
+        out[*slot] = p;
+        *slot += 1;
+    }
+    out
 }
 
 /// Size-ratio threshold past which [`intersect_sorted`] switches from the
@@ -146,6 +218,25 @@ mod tests {
         let mut v = vec![Pair::new(2, 1), Pair::new(1, 1), Pair::new(2, 1)];
         normalize(&mut v);
         assert_eq!(v, vec![Pair::new(1, 1), Pair::new(2, 1)]);
+    }
+
+    #[test]
+    fn sorted_concat_matches_a_full_sort() {
+        // Narrow ranges (radix by target, then source), a wide target
+        // range (by source, then per-bucket sorts) and a wide source range
+        // (full sort).
+        for (ss, ts) in [(7u32, 1u32), (1, 1 << 26), (1 << 29, 1)] {
+            let a: Vec<Pair> = (0..40u32).map(|i| Pair::new(i % 5 * ss, (40 - i) * ts)).collect();
+            let b: Vec<Pair> = (0..25u32).map(|i| Pair::new(i % 3 * ss, i * ts)).collect();
+            let mut want = [a.clone(), b.clone()].concat();
+            want.sort_unstable();
+            assert_eq!(sorted_concat(&[&a, &b], a.len() + b.len()), want);
+            want.dedup();
+            let mut v = [a, b].concat();
+            normalize(&mut v);
+            assert_eq!(v, want);
+        }
+        assert!(sorted_concat(&[], 0).is_empty());
     }
 
     #[test]

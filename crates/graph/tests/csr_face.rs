@@ -1,5 +1,5 @@
-//! CSR read-face correctness: forward/reverse faces agree with the
-//! chunked rows, mutation invalidates exactly the touched chunks' faces
+//! CSR read-face correctness: faces agree with the chunked rows (and an
+//! inverse label's face with the reversed relation), mutation invalidates exactly the touched chunks' faces
 //! (and a rebuilt face sees the delta), clones share built faces by
 //! pointer — plus the skewed multi-segment `PairList` point/range lookup
 //! regression.
@@ -51,33 +51,18 @@ fn forward_face_matches_adjacency_rows() {
 }
 
 #[test]
-fn reverse_face_is_the_swapped_segment() {
+fn inverse_label_face_is_the_reverse_relation() {
+    // Faces have no separate reverse direction: `ℓ⁻¹`'s forward face
+    // holds `⟦ℓ⟧` swapped, row by row.
     let g = chunky(64, 8);
-    for l in g.ext_labels() {
-        for i in 0..g.topology_chunk_count() {
-            let csr = g.csr_chunk(i);
-            let lo = csr.start();
-            let hi = lo + csr.rows();
-            let mut expect: Vec<Pair> =
-                g.edge_pairs(l).restrict_src(lo, hi).iter().map(|p| p.swap()).collect();
-            expect.sort_unstable();
-            let got: Vec<Pair> = match csr.face(l) {
-                None => Vec::new(),
-                Some(face) => face
-                    .rev_groups()
-                    .flat_map(|(t, srcs)| srcs.iter().map(move |&s| Pair::new(t, s)))
-                    .collect(),
-            };
-            assert_eq!(got, expect, "reverse face of chunk {i}, label {l:?}");
-            if let Some(face) = csr.face(l) {
-                assert!(face.rev_keys().windows(2).all(|w| w[0] < w[1]), "keys strictly sorted");
-                for (i, _) in face.rev_keys().iter().enumerate() {
-                    let srcs = face.rev_sources(i);
-                    assert!(!srcs.is_empty());
-                    assert!(srcs.windows(2).all(|w| w[0] < w[1]), "sources strictly sorted");
-                }
-            }
-        }
+    for l in g.labels() {
+        let mut expect: Vec<Pair> = g.edge_pairs(l.fwd()).iter().map(|p| p.swap()).collect();
+        expect.sort_unstable();
+        let got: Vec<Pair> = g
+            .vertices()
+            .flat_map(|t| g.csr_targets(t, l.inv()).iter().map(move |&s| Pair::new(t, s)))
+            .collect();
+        assert_eq!(got, expect, "face of {:?}", l.inv());
     }
 }
 

@@ -17,7 +17,7 @@
 //! ([`crate::event`]) owns those; this module only exposes the state it
 //! needs (buffered bytes, pending slots, last-activity instants).
 
-use crate::proto::{encode_response, FrameAssembler, Response};
+use crate::proto::{encode_response_into, ErrorCode, FrameAssembler, Response, WireError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -58,6 +58,9 @@ pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Incremental frame reassembly for the read side.
     pub(crate) assembler: FrameAssembler,
+    /// Payload bound for replies, the same the assembler applies to
+    /// requests: a larger reply is replaced by a TOO_LARGE error.
+    max_frame_len: usize,
     /// Lifecycle state.
     pub(crate) state: ConnState,
     /// Encoded-but-unsent response bytes (`wpos..` is the unsent tail).
@@ -93,6 +96,7 @@ impl Conn {
         Conn {
             stream,
             assembler: FrameAssembler::new(max_frame_len),
+            max_frame_len,
             state: ConnState::Handshake,
             wbuf: Vec::new(),
             wpos: 0,
@@ -162,20 +166,39 @@ impl Conn {
         self.pending.len()
     }
 
-    /// Encodes the completed prefix of the slot queue into the write
-    /// buffer. Returns how many responses were staged.
-    pub(crate) fn flush_ready(&mut self) -> usize {
-        let mut staged = 0usize;
+    /// Encodes the completed prefix of the slot queue straight into the
+    /// write buffer, patching each frame's length prefix afterwards. A
+    /// reply whose payload exceeds the frame limit is cut back out and
+    /// replaced by a TOO_LARGE error frame carrying its answer count, so
+    /// the peer never receives a frame it must reject and the stream
+    /// stays in sync. Returns how many responses were staged, and how
+    /// many of them were such errors.
+    pub(crate) fn flush_ready(&mut self) -> (usize, usize) {
+        let (mut staged, mut too_large) = (0usize, 0usize);
         while matches!(self.pending.front(), Some((_, Some(_)))) {
             let Some((_, Some(resp))) = self.pending.pop_front() else {
                 break;
             };
-            let payload = encode_response(&resp);
-            self.wbuf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            self.wbuf.extend_from_slice(&payload);
+            let at = self.wbuf.len();
+            if self.stage(at, &resp) > self.max_frame_len {
+                self.wbuf.truncate(at);
+                let err = oversize_error(&resp, self.max_frame_len);
+                self.stage(at, &err);
+                too_large += 1;
+            }
             staged += 1;
         }
-        staged
+        (staged, too_large)
+    }
+
+    /// Appends one length-prefixed frame at `at` (the buffer's end) and
+    /// returns its payload length.
+    fn stage(&mut self, at: usize, resp: &Response) -> usize {
+        self.wbuf.extend_from_slice(&[0; 4]);
+        encode_response_into(resp, &mut self.wbuf);
+        let len = self.wbuf.len() - at - 4;
+        self.wbuf[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+        len
     }
 
     /// Bytes staged but not yet accepted by the socket.
@@ -205,6 +228,23 @@ impl Conn {
     }
 }
 
+/// The TOO_LARGE error sent in place of a reply whose payload would
+/// exceed `max` bytes: it names the limit and carries the answer count.
+fn oversize_error(resp: &Response, max: usize) -> Response {
+    let answers: usize = match resp {
+        Response::Result { pairs, .. } => pairs.len(),
+        Response::BatchResult { results, .. } => results.iter().map(Vec::len).sum(),
+        _ => 0,
+    };
+    Response::Error(WireError {
+        count: Some(answers as u64),
+        ..WireError::new(
+            ErrorCode::TooLarge,
+            format!("reply of {answers} answers exceeds the {max}-byte frame limit"),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,11 +267,11 @@ mod tests {
         conn.push_inline(Response::Pong); // s1, completed immediately
         let s2 = conn.reserve_slot();
         // s0 still at a worker: nothing may flush.
-        assert_eq!(conn.flush_ready(), 0);
+        assert_eq!(conn.flush_ready(), (0, 0));
         conn.complete_slot(s2, Response::Pong);
-        assert_eq!(conn.flush_ready(), 0, "s2 done but s0 still gates the prefix");
+        assert_eq!(conn.flush_ready(), (0, 0), "s2 done but s0 still gates the prefix");
         conn.complete_slot(s0, Response::UpdateAck { applied: true, epoch: 9 });
-        assert_eq!(conn.flush_ready(), 3, "whole prefix completes at once");
+        assert_eq!(conn.flush_ready(), (3, 0), "whole prefix completes at once");
         assert_eq!(conn.pending_len(), 0);
         assert!(conn.unsent() > 0);
     }

@@ -334,8 +334,12 @@ fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
         }
     }
     // 2. Stage completed responses and push bytes.
-    if conn.flush_ready() > 0 {
+    let (staged, too_large) = conn.flush_ready();
+    if staged > 0 {
         conn.last_activity = now;
+    }
+    if too_large > 0 {
+        s.counters.errors.fetch_add(too_large as u64, Ordering::Relaxed);
     }
     if conn.unsent() > 0 {
         let obs = s.engine.obs();

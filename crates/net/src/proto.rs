@@ -52,8 +52,11 @@ pub const MAGIC: [u8; 4] = *b"CPQX";
 /// (`metrics_requests` / `rejected_connections`), added the
 /// `open_connections` gauge to the METRICS net counters, the event-loop
 /// server stages to the METRICS stage histograms, and the
-/// [`ErrorCode::Busy`] / [`ErrorCode::Timeout`] error codes.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// [`ErrorCode::Busy`] / [`ErrorCode::Timeout`] error codes; version 7
+/// added the [`ErrorCode::TooLarge`] error code and the `count` field of
+/// error frames ([`WireError::count`]), which carries the answer count
+/// of a reply too large for a frame.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Default bound on accepted payload sizes (16 MiB). Servers apply it to
 /// requests, clients to responses; both sides make it configurable.
@@ -291,6 +294,11 @@ pub enum ErrorCode {
     /// *idle* timeout — no partial frame buffered — closes cleanly
     /// without an error frame.
     Timeout,
+    /// The reply would exceed the frame limit (protocol ≥ 7): the server
+    /// sends this error in its place, carrying the reply's answer count
+    /// in [`WireError::count`]. The frame boundary is intact, so the
+    /// connection stays usable.
+    TooLarge,
 }
 
 impl ErrorCode {
@@ -305,6 +313,7 @@ impl ErrorCode {
             ErrorCode::Internal => 7,
             ErrorCode::Busy => 8,
             ErrorCode::Timeout => 9,
+            ErrorCode::TooLarge => 10,
         }
     }
 
@@ -319,13 +328,14 @@ impl ErrorCode {
             7 => ErrorCode::Internal,
             8 => ErrorCode::Busy,
             9 => ErrorCode::Timeout,
+            10 => ErrorCode::TooLarge,
             _ => return Err(DecodeError::BadValue("error code")),
         })
     }
 }
 
-/// An error frame: code, optional byte position (for parse errors) and a
-/// human-readable message.
+/// An error frame: code, optional byte position (for parse errors), a
+/// human-readable message and an optional count (for oversize replies).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError {
     /// What class of failure this is.
@@ -334,12 +344,15 @@ pub struct WireError {
     pub position: Option<u32>,
     /// Human-readable description.
     pub message: String,
+    /// For [`ErrorCode::TooLarge`], the number of answer pairs the
+    /// refused reply carried (protocol ≥ 7).
+    pub count: Option<u64>,
 }
 
 impl WireError {
     /// Convenience constructor for position-less errors.
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
-        WireError { code, position: None, message: message.into() }
+        WireError { code, position: None, message: message.into(), count: None }
     }
 }
 
@@ -363,6 +376,7 @@ impl From<ParseError> for WireError {
             },
             position: Some(e.position.min(u32::MAX as usize) as u32),
             message: e.message,
+            count: None,
         }
     }
 }
@@ -623,9 +637,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_pairs(out: &mut Vec<u8>, pairs: &[Pair]) {
+    out.reserve(4 + pairs.len() * 8);
     put_u32(out, pairs.len() as u32);
-    for p in pairs {
-        put_u64(out, p.0);
+    let start = out.len();
+    out.resize(start + pairs.len() * 8, 0);
+    let (_, body) = out.split_at_mut(start);
+    for (dst, p) in body.chunks_exact_mut(8).zip(pairs) {
+        dst.copy_from_slice(&p.0.to_be_bytes());
     }
 }
 
@@ -734,7 +752,14 @@ impl<'a> Cur<'a> {
         if self_inconsistent_count(n, 8, self.remaining()) {
             return Err(DecodeError::Truncated);
         }
-        (0..n).map(|_| self.u64().map(Pair)).collect()
+        let len = n.checked_mul(8).ok_or(DecodeError::Truncated)?;
+        let (words, rest) = self.take(len)?.as_chunks::<8>();
+        if !rest.is_empty() {
+            return Err(DecodeError::Truncated);
+        }
+        let mut out = Vec::with_capacity(words.len());
+        out.extend(words.iter().map(|w| Pair(u64::from_be_bytes(*w))));
+        Ok(out)
     }
 
     fn remaining(&self) -> usize {
@@ -1013,64 +1038,71 @@ fn self_inconsistent_count(n: usize, min_item_len: usize, remaining: usize) -> b
 /// Encodes a response into a frame payload (no length prefix).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends a response's frame payload (no length prefix) to `out` — the
+/// server encodes straight into a connection's write buffer this way.
+pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::HelloAck { version } => {
             out.push(OP_HELLO_ACK);
-            put_u16(&mut out, *version);
+            put_u16(out, *version);
         }
         Response::Pong => out.push(OP_PONG),
         Response::Result { epoch, pairs } => {
             out.push(OP_RESULT);
-            put_u64(&mut out, *epoch);
-            put_pairs(&mut out, pairs);
+            put_u64(out, *epoch);
+            put_pairs(out, pairs);
         }
         Response::BatchResult { epoch, results } => {
             out.push(OP_BATCH_RESULT);
-            put_u64(&mut out, *epoch);
-            put_u32(&mut out, results.len() as u32);
+            put_u64(out, *epoch);
+            put_u32(out, results.len() as u32);
             for r in results {
-                put_pairs(&mut out, r);
+                put_pairs(out, r);
             }
         }
         Response::UpdateAck { applied, epoch } => {
             out.push(OP_UPDATE_ACK);
             out.push(u8::from(*applied));
-            put_u64(&mut out, *epoch);
+            put_u64(out, *epoch);
         }
         Response::Stats(s) => {
             out.push(OP_STATS_RESULT);
             for field in stats_fields(s) {
-                put_u64(&mut out, field);
+                put_u64(out, field);
             }
         }
         Response::DeltaAck { epoch, rebuilt, outcomes } => {
             out.push(OP_DELTA_ACK);
-            put_u64(&mut out, *epoch);
+            put_u64(out, *epoch);
             out.push(u8::from(*rebuilt));
-            put_u32(&mut out, outcomes.len() as u32);
+            put_u32(out, outcomes.len() as u32);
             for o in outcomes {
                 match o {
                     WireOutcome::Noop => out.push(0),
                     WireOutcome::Applied => out.push(1),
                     WireOutcome::VertexAdded(v) => {
                         out.push(2);
-                        put_u32(&mut out, *v);
+                        put_u32(out, *v);
                     }
                 }
             }
         }
         Response::Metrics(m) => {
             out.push(OP_METRICS_RESULT);
-            put_metrics(&mut out, m);
+            put_metrics(out, m);
         }
         Response::Error(e) => {
             out.push(OP_ERROR);
             out.push(e.code.to_u8());
-            put_u32(&mut out, e.position.unwrap_or(u32::MAX));
-            put_str(&mut out, &e.message);
+            put_u32(out, e.position.unwrap_or(u32::MAX));
+            put_str(out, &e.message);
+            put_u64(out, e.count.unwrap_or(u64::MAX));
         }
     }
-    out
 }
 
 fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
@@ -1179,7 +1211,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
                 u32::MAX => None,
                 p => Some(p),
             };
-            Response::Error(WireError { code, position, message: c.str()? })
+            let message = c.str()?;
+            let count = match c.u64()? {
+                u64::MAX => None,
+                n => Some(n),
+            };
+            Response::Error(WireError { code, position, message, count })
         }
         other => return Err(DecodeError::UnknownOpcode(other)),
     };
@@ -1567,6 +1604,11 @@ mod tests {
                 code: ErrorCode::Parse,
                 position: Some(4),
                 message: "unknown label \"nosuch\"".into(),
+                count: None,
+            }),
+            Response::Error(WireError {
+                count: Some(74_529),
+                ..WireError::new(ErrorCode::TooLarge, "reply too large")
             }),
             Response::Error(WireError::new(ErrorCode::Internal, "boom")),
         ]

@@ -63,8 +63,11 @@ pub struct ServerOptions {
     /// not yet flushed). Past it the loop stops reading from that
     /// connection until responses drain. Default 128.
     pub max_pipeline: usize,
-    /// Maximum accepted request payload size. Default
-    /// [`DEFAULT_MAX_FRAME`].
+    /// Maximum payload size, for requests read and replies sent alike.
+    /// A larger request desynchronizes the stream (BAD_FRAME, then
+    /// close); a larger reply is replaced by a TOO_LARGE error frame
+    /// carrying its answer count, and the connection stays open.
+    /// Default [`DEFAULT_MAX_FRAME`].
     pub max_frame_len: usize,
     /// Per-connection idle timeout: a connection with no request in
     /// flight and no bytes arriving past it is closed — cleanly at a

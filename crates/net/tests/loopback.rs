@@ -474,6 +474,43 @@ fn typed_errors_over_the_wire() {
     server.shutdown();
 }
 
+/// A reply over the server's frame limit comes back as a typed
+/// TOO_LARGE error carrying the answer count — never as a frame the
+/// client must reject — and the connection stays in sync.
+#[test]
+fn oversize_reply_gets_a_typed_error_and_the_connection_survives() {
+    // clique(40): `f . f` holds all 1,600 pairs (12.8 KB of answers).
+    let g = generate::clique(40, "f");
+    let (engine, _) = Engine::with_options(g, EngineOptions { k: 2, ..Default::default() });
+    let opts = ServerOptions { workers: 2, max_frame_len: 4096, ..ServerOptions::default() };
+    let server = Server::bind(Arc::new(engine), "127.0.0.1:0", opts).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let answers = 40 * 40; // every pair, loops included
+    for attempt in 0..2 {
+        match client.query("f . f") {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::TooLarge, "attempt {attempt}");
+                assert_eq!(e.count, Some(answers));
+            }
+            other => panic!("expected TOO_LARGE, got {:?}", other.map(|r| r.pairs.len())),
+        }
+        client.ping().expect("connection still in sync");
+    }
+    // A BATCH over the limit counts the answers of all its queries.
+    match client.batch(&["f", "f . f"]) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::TooLarge);
+            assert_eq!(e.count, Some(answers + 40 * 39));
+        }
+        other => panic!("expected TOO_LARGE, got {:?}", other.map(|r| r.results.len())),
+    }
+    // Replies under the limit still go through on the same connection.
+    assert_eq!(client.query("(f . f) & id").expect("small reply").pairs.len(), 40);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.error_responses, 3, "each oversize reply counts as an error");
+    server.shutdown();
+}
+
 #[test]
 fn hostile_queries_cannot_kill_the_server() {
     // A deeply nested or absurdly long query text fits comfortably under

@@ -51,14 +51,14 @@ fn eval_ref_set(g: &Graph, q: &Cpq) -> HashSet<(u32, u32)> {
 ///
 /// Evaluates the query bottom-up on normalized pair vectors, using frontier
 /// expansion over the adjacency lists whenever a join's right operand is a
-/// single edge label (breadth-first chain traversal) and sorted-merge
-/// operators otherwise. No index is consulted.
+/// single edge label (breadth-first chain traversal) and the shared
+/// pair-set operators otherwise. No index is consulted.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BfsEngine;
 
 impl BfsEngine {
     /// Evaluates `q` on `g`, returning a normalized pair set. One
-    /// [`ops::EvalContext`] scratch buffer serves every join of the
+    /// [`ops::EvalContext`] scratch state serves every join of the
     /// recursion.
     pub fn evaluate(&self, g: &Graph, q: &Cpq) -> Vec<Pair> {
         self.eval_ctx(g, q, &mut ops::EvalContext::new())
@@ -73,7 +73,7 @@ impl BfsEngine {
                 // faces).
                 Cpq::Label(l) => {
                     let left = self.eval_ctx(g, a, ctx);
-                    ops::expand_adjacency(g, &left, *l)
+                    ctx.expand_adjacency(g, &left, *l)
                 }
                 _ => {
                     let left = self.eval_ctx(g, a, ctx);

@@ -19,7 +19,8 @@
 //! * [`plan`] — the physical parse tree of Sec. IV-D / Fig. 4: label chains
 //!   chunked into `LOOKUP`s of length ≤ k, `q ∘ id → q` rewriting, and
 //!   identity fused into the three operators,
-//! * [`ops`] — the sorted-merge physical operators shared by every engine,
+//! * [`ops`] — the physical pair-set operators shared by every engine
+//!   (output-sensitive row-accumulator joins, galloping intersections),
 //! * [`eval`] — a naive reference evaluator (the correctness oracle) and the
 //!   index-free BFS baseline of Sec. VI,
 //! * [`workload`] — seeded template instantiation with the paper's

@@ -2,7 +2,7 @@
 //!
 //! The planner lowers a [`Cpq`] into a tree of LOOKUP / JOIN / CONJUNCTION
 //! nodes with identity *fused* into the operators, applying the paper's
-//! three optimizations: (1) sorted-merge physical operators (the executors'
+//! three optimizations: (1) sorted physical operators (the executors'
 //! concern), (2) the rewrite `q ∘ id = q` so only `q ∩ id` remains as
 //! IDENTITY, and (3) IDENTITY executed together with the other operators
 //! (the `…Id` node variants). Maximal label chains are chunked into
