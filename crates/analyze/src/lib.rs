@@ -1,9 +1,8 @@
 //! cpqx-analyze — offline static analysis for the cpqx workspace.
 //!
 //! The rules encode invariants the compiler cannot see and `clippy`
-//! does not know about, because they are *ours*: the COW/CSR
-//! invalidation discipline from PR 8, the panic-free decode surface
-//! from PR 2, the atomic-ordering classification behind the obs and
+//! does not know about, because they are *ours*: the panic-free decode
+//! surface, the atomic-ordering classification behind the obs and
 //! server counters, the engine's lock order and the no-`unsafe`
 //! policy. Each is checked by a token-level scan — no `syn`, no
 //! dependencies — precise enough to anchor diagnostics to a line and

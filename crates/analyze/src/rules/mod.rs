@@ -4,7 +4,6 @@
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | `cow-seam` | every `Arc::make_mut` on chunk storage (and every fn handing out `&mut VertexChunk`) invalidates the chunk's cached CSR face on the same path |
 //! | `codec-hygiene` | wire decode paths are panic-free: no unwrap/expect/panics, no direct indexing, no truncating `as` casts, every wire count bounds-checked before `Vec::with_capacity` |
 //! | `atomic-ordering` | every atomic site is classified counter vs. publication edge; counters are `Relaxed`, publication edges are `Acquire`/`Release`/`AcqRel` |
 //! | `lock-order` | nested lock acquisitions (directly or through same-file calls) respect the declared workspace lock order |
@@ -34,13 +33,11 @@ use crate::model::SourceFile;
 
 mod atomic_ordering;
 mod codec_hygiene;
-mod cow_seam;
 mod lock_order;
 mod unsafe_allowlist;
 
 pub use atomic_ordering::AtomicOrdering;
 pub use codec_hygiene::CodecHygiene;
-pub use cow_seam::CowSeam;
 pub use lock_order::LockOrder;
 pub use unsafe_allowlist::UnsafeAllowlist;
 
@@ -75,7 +72,6 @@ pub trait Rule {
 /// Every registered rule, in diagnostic order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(CowSeam),
         Box::new(CodecHygiene),
         Box::new(AtomicOrdering),
         Box::new(LockOrder),

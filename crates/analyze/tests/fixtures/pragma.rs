@@ -1,17 +1,17 @@
 //! pragma fixture: tilde-marked lines must each yield the named finding;
-//! everything else must stay silent (the suppressed cow-seam finding
-//! is asserted separately). Never compiled.
+//! everything else must stay silent (the suppressed unsafe-allowlist
+//! finding is asserted separately). Never compiled.
 
-fn suppressed(c: &mut VertexChunk) { // cpqx-analyze: allow(cow-seam): fixture — caller invalidates the face
-    c.adj.clear();
+fn suppressed(p: *const u8) -> u8 {
+    unsafe { *p } // cpqx-analyze: allow(unsafe-allowlist): fixture — caller guarantees a live pointer
 }
 
 // cpqx-analyze: allow(no-such-rule): whatever //~ pragma
 fn after_unknown_rule() {}
 
-// cpqx-analyze: allow(cow-seam) //~ pragma
-fn unjustified(c: &mut VertexChunk) { //~ cow-seam
-    c.adj.clear();
+fn unjustified(p: *const u8) -> u8 {
+    // cpqx-analyze: allow(unsafe-allowlist) //~ pragma
+    unsafe { *p } //~ unsafe-allowlist
 }
 
 // cpqx-analyze: allow(codec-hygiene): nothing here ever fires //~ pragma

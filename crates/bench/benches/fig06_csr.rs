@@ -92,7 +92,6 @@ fn main() {
             interests_from_queries(workload.iter().flat_map(|(_, qs)| qs.iter()), cfg.k);
         let (engine, _) = Engine::build(Method::Cpqx, &g, cfg.k, &interests);
         let idx = engine.as_cpqx().unwrap();
-        g.ensure_csr(); // warm faces: steady-state read cost, not build cost
 
         // Sanity: the two read paths must agree before being compared.
         for (_, queries) in &workload {

@@ -63,7 +63,6 @@ fn main() {
         // off versus on — the cache-free read-path comparison the wire
         // numbers sit on top of.
         let snap = engine.snapshot();
-        snap.graph().ensure_csr();
         let mut exec_qps = [0.0f64; 2];
         let variants =
             [ExecOptions { csr_faces: false, ..ExecOptions::default() }, ExecOptions::default()];

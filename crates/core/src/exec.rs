@@ -44,12 +44,12 @@ pub struct ExecOptions {
     /// materialized pairs.
     pub fused_identity: bool,
     /// Route single-label join operands through the graph's per-chunk CSR
-    /// read faces ([`cpqx_graph::csr`]): a chain suffix `P ⋈ ⟦ℓ⟧` takes
-    /// its right rows from the faces, a chain prefix `⟦ℓ⟧ ⋈ P` its left
-    /// rows — neither materializes or sorts the label relation. When off,
+    /// faces ([`cpqx_graph::csr`]): a chain suffix `P ⋈ ⟦ℓ⟧` takes its
+    /// right rows from the faces, a chain prefix `⟦ℓ⟧ ⋈ P` its left rows
+    /// — neither materializes or sorts the label relation. When off,
     /// every join expands both operands from the index and joins them as
-    /// pair sets (the chunked-row baseline the differential harness and
-    /// the `fig06_csr` bench compare against). Answers are identical
+    /// pair sets (the index-expansion baseline the differential harness
+    /// and the `fig06_csr` bench compare against). Answers are identical
     /// either way.
     pub csr_faces: bool,
 }

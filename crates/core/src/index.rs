@@ -497,25 +497,6 @@ impl CpqxIndex {
         diff
     }
 
-    /// A clone that shares **no** chunk, shard or posting with `self` —
-    /// every store is copied up front. This reproduces the cost of the
-    /// pre-COW full-copy write path for benchmarking and regression
-    /// comparison (the engine's `deep_clone_writes` option); ordinary code
-    /// should use the cheap structural-sharing `Clone`.
-    pub fn deep_clone(&self) -> CpqxIndex {
-        let mut idx = self.clone();
-        for c in &mut idx.classes {
-            *c = Arc::new(ClassChunk::clone(c));
-        }
-        for s in &mut idx.p2c {
-            *s = Arc::new(HashMap::clone(s));
-        }
-        for v in idx.il2c.values_mut() {
-            *v = Arc::new(Vec::clone(v));
-        }
-        idx
-    }
-
     /// Number of copy-on-write units backing this index (class chunks +
     /// p2c shards).
     pub fn chunk_count(&self) -> usize {

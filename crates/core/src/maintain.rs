@@ -71,15 +71,7 @@ impl CpqxIndex {
     pub fn delete_vertex(&mut self, g: &mut Graph, v: VertexId) {
         let incident: Vec<(VertexId, VertexId, Label)> = g
             .adjacency(v)
-            .iter()
-            .map(|&(el, t)| {
-                let el = cpqx_graph::ExtLabel(el);
-                if el.is_inverse() {
-                    (t, v, el.base())
-                } else {
-                    (v, t, el.base())
-                }
-            })
+            .map(|(el, t)| if el.is_inverse() { (t, v, el.base()) } else { (v, t, el.base()) })
             .collect();
         let mut seen = std::collections::HashSet::new();
         for (a, b, l) in incident {

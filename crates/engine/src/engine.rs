@@ -83,13 +83,6 @@ pub struct EngineOptions {
     /// measures 1.02–1.63 for up to 20% edge churn), so it only fires
     /// under sustained heavy write load.
     pub auto_rebuild_ratio: Option<f64>,
-    /// Benchmark/regression switch: force every write transaction to
-    /// deep-copy the whole graph + index instead of the structural-sharing
-    /// clone — the pre-COW O(graph) write path. Results are identical;
-    /// only cost differs. `maintenance_throughput` uses this to compare
-    /// the two write paths so a regression back to O(graph) clones fails
-    /// visibly in CI. Leave `false` in production.
-    pub deep_clone_writes: bool,
     /// Durability policy: when a [`DurabilitySink`] is attached
     /// ([`Engine::attach_durability`]), this drives the engine-triggered
     /// checkpoint cadence. Irrelevant (and harmless) without a sink.
@@ -119,7 +112,6 @@ impl Default for EngineOptions {
             result_admission_min_cost: 0.0,
             interests: None,
             auto_rebuild_ratio: Some(8.0),
-            deep_clone_writes: false,
             durability: DurabilityOptions::default(),
             obs: ObsOptions::default(),
             exec: ExecOptions::default(),
@@ -698,14 +690,9 @@ impl Engine {
         let snap = self.snapshot();
         // The clone is O(#chunks): all heavyweight storage is structurally
         // shared with the snapshot and copied chunk-by-chunk on first
-        // touch (`deep_clone_writes` forces the pre-COW full copy for
-        // benchmark comparison).
+        // touch.
         let clone_timer = self.obs.timer();
-        let (mut graph, mut index) = if self.options.deep_clone_writes {
-            (snap.graph.deep_clone(), snap.index.deep_clone())
-        } else {
-            (snap.graph.clone(), snap.index.clone())
-        };
+        let (mut graph, mut index) = (snap.graph.clone(), snap.index.clone());
         self.obs.stage(Stage::Clone, clone_timer, trace.as_mut());
         let maintain_timer = self.obs.timer();
         let (out, changed) = f(&mut graph, &mut index);

@@ -4,14 +4,14 @@ use crate::csr::ChunkCsr;
 use crate::label::{ExtLabel, Label};
 use crate::pair::Pair;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Dense vertex identifier (`u32`, per the small-integer-id guideline).
 pub type VertexId = u32;
 
 /// One decoded topology chunk as the store persists it: the chunk's
 /// first vertex id plus one sorted `(ext_label, target)` adjacency row
-/// per vertex — the owned form of [`Graph::topology_chunk`]'s view.
+/// per vertex — the row-major serialisation of a [`ChunkCsr`]'s faces.
 pub type TopologyChunkParts = (VertexId, Vec<Vec<(u16, VertexId)>>);
 
 /// Target total adjacency entries per copy-on-write chunk. Chunk
@@ -28,44 +28,6 @@ const TARGET_CHUNK_WEIGHT: usize = 1 << 9;
 /// of growing the last one (keeps append-heavy workloads from
 /// concentrating all new vertices in one ever-growing chunk).
 const CHUNK_SPLIT_ROWS: usize = 4096;
-
-/// One contiguous vertex range of the graph's topology storage: the
-/// adjacency rows and per-extended-label pair segments of the vertices in
-/// `start..start + adj.len()`.
-///
-/// Chunks are the copy-on-write unit: [`Graph`] holds them behind [`Arc`]
-/// and mutates through [`Arc::make_mut`], so cloning a graph is
-/// O(#chunks) and an edge mutation copies only the chunks of the touched
-/// endpoints — everything else stays structurally shared with the
-/// original (see [`Graph::cow_diff`]). Display names live in a parallel
-/// per-range store ([`Graph::names`]) so that edge churn never pays for
-/// copying `String`s: name chunks are only touched by
-/// [`Graph::add_vertex`] appends.
-#[derive(Clone)]
-pub(crate) struct VertexChunk {
-    /// First vertex id of this chunk's range.
-    pub(crate) start: VertexId,
-    /// Adjacency rows sorted by `(label, target)`, indexed by `v - start`.
-    pub(crate) adj: Vec<Vec<(u16, VertexId)>>,
-    /// Per extended label: the sorted pairs of `⟦ℓ⟧` whose *source* lies
-    /// in this chunk's range (a source-contiguous segment of the global
-    /// relation).
-    pub(crate) pairs: Vec<Vec<Pair>>,
-    /// Lazily built read-optimized face ([`crate::csr`]): per-label CSR
-    /// over this chunk's pairs. Built on first read after construction
-    /// or mutation; **every** mutation seam takes the
-    /// cache after `Arc::make_mut` (mandatory — at refcount 1 `make_mut`
-    /// mutates in place without cloning). Cloning a chunk keeps the cache:
-    /// the clone's bytes are identical, so the face is still valid, which
-    /// is what lets engine snapshot installs share built faces for free.
-    pub(crate) csr: OnceLock<Arc<ChunkCsr>>,
-}
-
-impl VertexChunk {
-    fn row_count(&self) -> usize {
-        self.adj.len()
-    }
-}
 
 /// Structural-sharing report of [`Graph::cow_diff`] /
 /// `CpqxIndex::cow_diff` (in `cpqx-core`): how many copy-on-write chunks
@@ -104,18 +66,16 @@ impl CowDiff {
 }
 
 /// A borrowed view of a (possibly source-restricted) per-label pair
-/// relation `⟦ℓ⟧`, stored as source-contiguous segments — one per
-/// copy-on-write chunk of the graph.
+/// relation `⟦ℓ⟧`, read from the label's face in each topology chunk.
 ///
-/// The concatenation of [`PairList::segments`] is globally sorted (pair
-/// order is source-major and segments follow ascending vertex ranges), so
-/// sorted-merge consumers can process segments in order; point and bulk
-/// access goes through [`PairList::iter`] / [`PairList::to_vec`] /
-/// [`PairList::contains`].
+/// Chunks cover ascending vertex ranges and face rows ascend within a
+/// chunk, so [`PairList::iter`] yields the relation in sorted order; point
+/// and bulk access goes through [`PairList::iter`] / [`PairList::to_vec`]
+/// / [`PairList::contains`].
 #[derive(Clone, Copy)]
 pub struct PairList<'g> {
-    chunks: &'g [Arc<VertexChunk>],
-    label: u16,
+    chunks: &'g [Arc<ChunkCsr>],
+    label: ExtLabel,
     /// Source-vertex bounds `[lo, hi)` of the view.
     lo: VertexId,
     hi: VertexId,
@@ -135,86 +95,72 @@ impl<'g> PairList<'g> {
         self.len == 0
     }
 
-    /// The non-empty sorted segments of the view, in ascending source
-    /// order. Their concatenation is the whole (restricted) relation.
-    /// Restricted views probe only the chunks whose vertex range
-    /// intersects `[lo, hi)` (two partition points over the chunk
-    /// starts), so narrow restrictions stay cheap on many-chunk graphs.
-    pub fn segments(self) -> impl Iterator<Item = &'g [Pair]> {
-        let label = self.label as usize;
-        let (lo, hi) = (self.lo, self.hi);
-        let unrestricted = lo == 0 && hi == VertexId::MAX;
-        let chunks = if unrestricted {
-            self.chunks
-        } else {
-            // First chunk whose range can reach lo … last whose start is
-            // below hi (chunk i covers [start_i, start_{i+1})).
-            let begin = self.chunks.partition_point(|c| c.start <= lo).saturating_sub(1);
-            let end = self.chunks.partition_point(|c| c.start < hi);
-            &self.chunks[begin..end.max(begin)]
-        };
-        chunks.iter().filter_map(move |c| {
-            let seg = c.pairs[label].as_slice();
-            let seg = if unrestricted { seg } else { crate::view::slice_by_src(seg, lo, hi) };
-            (!seg.is_empty()).then_some(seg)
+    /// The chunks whose vertex range intersects `[lo, hi)` (two partition
+    /// points over the chunk starts), so narrow restrictions stay cheap on
+    /// many-chunk graphs.
+    fn spanned(&self) -> &'g [Arc<ChunkCsr>] {
+        // First chunk whose range can reach lo … last whose start is
+        // below hi (chunk i covers [start_i, start_{i+1})).
+        let begin = self.chunks.partition_point(|c| c.start() <= self.lo).saturating_sub(1);
+        let end = self.chunks.partition_point(|c| c.start() < self.hi).max(begin);
+        &self.chunks[begin..end]
+    }
+
+    /// The non-empty rows of the view as `(source, sorted targets)`, in
+    /// ascending source order.
+    fn rows(self) -> impl Iterator<Item = (VertexId, &'g [VertexId])> {
+        let (label, lo, hi) = (self.label, self.lo, self.hi);
+        self.spanned().iter().flat_map(move |c| {
+            let (r0, r1) = c.row_window(lo, hi);
+            c.face(label).into_iter().flat_map(move |f| {
+                (r0..r1).filter_map(move |r| {
+                    let ts = f.targets_of_row(r);
+                    (!ts.is_empty()).then(|| (c.start() + r as u32, ts))
+                })
+            })
         })
     }
 
     /// Iterates the pairs in ascending order.
     pub fn iter(self) -> impl Iterator<Item = Pair> + 'g {
-        self.segments().flat_map(|s| s.iter().copied())
+        self.rows().flat_map(|(v, ts)| ts.iter().map(move |&t| Pair::new(v, t)))
     }
 
     /// Collects the view into an owned sorted vector.
     pub fn to_vec(self) -> Vec<Pair> {
         let mut out = Vec::with_capacity(self.len);
-        for s in self.segments() {
-            out.extend_from_slice(s);
+        for (v, ts) in self.rows() {
+            out.extend(ts.iter().map(|&t| Pair::new(v, t)));
         }
         out
     }
 
     /// Whether the view contains `p`: the source vertex routes to the
     /// single chunk that can hold it (partition point over the chunk
-    /// starts), followed by one binary search inside that chunk's segment
-    /// — O(log) regardless of how many chunks the view spans.
+    /// starts), followed by one binary search inside its face row.
     pub fn contains(self, p: Pair) -> bool {
         let v = p.src();
         if v < self.lo || v >= self.hi {
             return false;
         }
-        let ci = self.chunks.partition_point(|c| c.start <= v);
+        let ci = self.chunks.partition_point(|c| c.start() <= v);
         if ci == 0 {
             return false;
         }
-        self.chunks[ci - 1].pairs[self.label as usize].binary_search(&p).is_ok()
+        let c = &self.chunks[ci - 1];
+        v - c.start() < c.rows() && c.targets(v, self.label).binary_search(&p.dst()).is_ok()
     }
 
-    /// The view restricted to pairs with source in `[lo, hi)`. Only the
-    /// two boundary chunks are sliced (binary searches); every interior
-    /// chunk of the range lies fully inside `[lo, hi)` and contributes its
-    /// whole segment length — O(log + #chunks in range), not
-    /// O(#chunks × log) as a per-chunk slicing sum would be.
+    /// The view restricted to pairs with source in `[lo, hi)`. Each
+    /// spanned chunk contributes an offset difference of its face —
+    /// O(log + #chunks in range).
     pub fn restrict_src(self, lo: VertexId, hi: VertexId) -> PairList<'g> {
         let lo = lo.max(self.lo);
         let hi = hi.min(self.hi).max(lo);
         let mut out = PairList { chunks: self.chunks, label: self.label, lo, hi, len: 0 };
-        if lo >= hi || self.chunks.is_empty() {
-            return out;
+        if lo < hi {
+            out.len = out.spanned().iter().map(|c| c.count_in(self.label, lo, hi)).sum();
         }
-        let label = self.label as usize;
-        let begin = self.chunks.partition_point(|c| c.start <= lo).saturating_sub(1);
-        let end = self.chunks.partition_point(|c| c.start < hi).max(begin);
-        let mut len = 0usize;
-        for (k, c) in self.chunks[begin..end].iter().enumerate() {
-            let seg = c.pairs[label].as_slice();
-            len += if k == 0 || k + 1 == end - begin {
-                crate::view::slice_by_src(seg, lo, hi).len()
-            } else {
-                seg.len()
-            };
-        }
-        out.len = len;
         out
     }
 }
@@ -237,43 +183,45 @@ impl std::fmt::Debug for PairList<'_> {
 ///
 /// Every base edge `(v, u, ℓ)` is stored twice: as `(v, u, ℓ)` and as the
 /// inverse extended edge `(u, v, ℓ⁻¹)`, mirroring the paper's extension of
-/// `E` and `L` (Sec. III-A). Two access paths are maintained:
+/// `E` and `L` (Sec. III-A). The one stored form is the per-label CSR face
+/// ([`crate::csr`]): per vertex and extended label, a sorted target row.
+/// Every read is served from it:
 ///
-/// * **adjacency**: per vertex, a vector of `(ext label, target)` entries
-///   sorted by `(label, target)` — O(log d) membership, O(d) updates;
-/// * **label-grouped pairs**: per extended label, the sorted relation
-///   `⟦ℓ⟧` used by index construction, LOOKUP leaves of the baseline
-///   engines, and the matchers, exposed as a segmented [`PairList`].
+/// * [`Graph::neighbors`] — one face row, two array loads after routing;
+/// * [`Graph::adjacency`] — a vertex's rows across the labels present in
+///   its chunk, in `(label, target)` order;
+/// * [`Graph::edge_pairs`] — the sorted relation `⟦ℓ⟧` as a [`PairList`]
+///   over the label's faces, used by index construction, LOOKUP leaves of
+///   the baseline engines, and the matchers.
 ///
-/// Both views are kept consistent under [`Graph::insert_edge`] /
-/// [`Graph::remove_edge`], which the maintenance experiments
-/// (Tables V–VII, Fig. 13) rely on. Multi-edges collapse (`E` is a set).
+/// [`Graph::insert_edge`] / [`Graph::remove_edge`] edit both halves in
+/// place (the maintenance experiments, Tables V–VII and Fig. 13, rely on
+/// this). Multi-edges collapse (`E` is a set).
 ///
 /// # Copy-on-write storage
 ///
 /// All vertex-indexed state lives in contiguous-range chunks behind
 /// `Arc`, with boundaries balanced by extended degree
-/// ([`crate::view::balanced_ranges_by_weight`]): topology (adjacency +
-/// pair segments) in [`VertexChunk`]s, display names in a parallel
-/// per-range store so edge churn never copies `String`s. `Graph::clone`
-/// is therefore O(#chunks) — pointer bumps — and an edge mutation copies
-/// only the two endpoint topology chunks via `Arc::make_mut`. This is
-/// what makes the engine's snapshot-per-write transaction O(changed)
-/// instead of O(graph); [`Graph::cow_diff`] reports the sharing between
-/// two snapshots.
+/// ([`crate::view::balanced_ranges_by_weight`]): topology in
+/// [`ChunkCsr`]s, display names in a parallel per-range store so edge
+/// churn never copies `String`s. `Graph::clone` is therefore O(#chunks) —
+/// pointer bumps — and an edge mutation copies only the two endpoint
+/// topology chunks via `Arc::make_mut`. This is what makes the engine's
+/// snapshot-per-write transaction O(changed) instead of O(graph);
+/// [`Graph::cow_diff`] reports the sharing between two snapshots.
 #[derive(Clone)]
 pub struct Graph {
     label_names: Vec<String>,
-    chunks: Vec<Arc<VertexChunk>>,
+    chunks: Vec<Arc<ChunkCsr>>,
     /// Display names in ranges parallel to `chunks` (same boundaries,
-    /// same routing). Kept outside [`VertexChunk`] so edge mutations
+    /// same routing). Kept outside the topology chunks so edge mutations
     /// never copy `String`s — only [`Graph::add_vertex`] touches the
     /// last name chunk.
     names: Vec<Arc<Vec<String>>>,
-    /// Ascending chunk start ids (`chunk_starts[i] == chunks[i].start`);
+    /// Ascending chunk start ids (`chunk_starts[i] == chunks[i].start()`);
     /// vertex → chunk routing is a partition point over this.
     chunk_starts: Vec<VertexId>,
-    /// Per extended label: total pairs across all chunk segments (keeps
+    /// Per extended label: total pairs across all chunk faces (keeps
     /// [`PairList::len`] O(1) for unrestricted views).
     pair_counts: Vec<usize>,
     vertex_count: u32,
@@ -326,16 +274,16 @@ impl Graph {
     fn locate(&self, v: VertexId) -> (usize, usize) {
         debug_assert!(v < self.vertex_count, "vertex {v} out of range");
         let ci = self.chunk_starts.partition_point(|&s| s <= v) - 1;
-        (ci, (v - self.chunks[ci].start) as usize)
+        (ci, (v - self.chunk_starts[ci]) as usize)
     }
 
     /// The sorted relation `⟦ℓ⟧ = {(v, u) | (v, u, ℓ) ∈ E}` for an extended
-    /// label, as a segmented view.
+    /// label, as a view over the label's faces.
     #[inline]
     pub fn edge_pairs(&self, l: ExtLabel) -> PairList<'_> {
         PairList {
             chunks: &self.chunks,
-            label: l.0,
+            label: l,
             lo: 0,
             hi: VertexId::MAX,
             len: self.pair_counts[l.0 as usize],
@@ -344,22 +292,23 @@ impl Graph {
 
     /// Whether the extended edge `(v, u, ℓ)` exists.
     pub fn has_edge(&self, v: VertexId, u: VertexId, l: ExtLabel) -> bool {
-        self.adjacency(v).binary_search(&(l.0, u)).is_ok()
+        self.neighbors(v, l).binary_search(&u).is_ok()
     }
 
-    /// The full extended adjacency of `v`, sorted by `(label, target)`.
+    /// The full extended adjacency of `v` as `(label, target)`, sorted by
+    /// `(label, target)`. O(labels present in `v`'s chunk + degree).
     #[inline]
-    pub fn adjacency(&self, v: VertexId) -> &[(u16, VertexId)] {
+    pub fn adjacency(&self, v: VertexId) -> impl Iterator<Item = (ExtLabel, VertexId)> + '_ {
         let (ci, off) = self.locate(v);
-        &self.chunks[ci].adj[off]
+        self.chunks[ci].row(off)
     }
 
-    /// Sorted targets reachable from `v` via one extended edge labeled `l`.
-    pub fn neighbors(&self, v: VertexId, l: ExtLabel) -> &[(u16, VertexId)] {
-        let a = self.adjacency(v);
-        let lo = a.partition_point(|&(x, _)| x < l.0);
-        let hi = a.partition_point(|&(x, _)| x <= l.0);
-        &a[lo..hi]
+    /// Sorted targets reachable from `v` via one extended edge labeled
+    /// `l`: one face row of `v`'s chunk.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId, l: ExtLabel) -> &[VertexId] {
+        let (ci, _) = self.locate(v);
+        self.chunks[ci].targets(v, l)
     }
 
     /// Out-degree of `v` restricted to extended label `l`.
@@ -370,93 +319,42 @@ impl Graph {
     /// Total extended degree of `v` (forward + inverse edges).
     #[inline]
     pub fn ext_degree(&self, v: VertexId) -> usize {
-        self.adjacency(v).len()
+        let (ci, off) = self.locate(v);
+        self.chunks[ci].row_degree(off)
+    }
+
+    /// Every vertex's extended degree, in vertex order.
+    fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.chunks.iter().flat_map(|c| (0..c.rows() as usize).map(|r| c.row_degree(r)))
     }
 
     /// Maximum extended degree `d` over all vertices (Thm. 4.3's `d`).
     pub fn max_degree(&self) -> usize {
-        self.chunks.iter().flat_map(|c| c.adj.iter().map(Vec::len)).max().unwrap_or(0)
+        self.degrees().max().unwrap_or(0)
     }
 
-    /// The read face of chunk `ci`, building it on first access (see
-    /// [`crate::csr`] for the invalidation discipline).
-    #[inline]
-    fn face_of(&self, ci: usize) -> &Arc<ChunkCsr> {
-        let c = &self.chunks[ci];
-        c.csr.get_or_init(|| Arc::new(ChunkCsr::build(c.start, c.adj.len(), &c.pairs)))
-    }
-
-    /// Sorted targets reachable from `v` via one extended edge labeled
-    /// `l`, served from the per-chunk forward CSR face: two array loads
-    /// after the chunk routing, versus two binary searches over the
-    /// mixed-label adjacency row in [`Graph::neighbors`]. Builds the
-    /// chunk's face on first read after a mutation.
-    #[inline]
-    pub fn csr_targets(&self, v: VertexId, l: ExtLabel) -> &[VertexId] {
-        let (ci, _) = self.locate(v);
-        self.face_of(ci).targets(v, l)
-    }
-
-    /// The `i`-th topology chunk's read face (building it if absent),
-    /// shared: the returned `Arc` is the cached face itself.
-    pub fn csr_chunk(&self, i: usize) -> Arc<ChunkCsr> {
-        Arc::clone(self.face_of(i))
-    }
-
-    /// Iterates all chunk read faces in vertex-range order, building
-    /// absent ones on the fly.
+    /// Iterates all topology chunks in vertex-range order.
     pub fn csr_chunks(&self) -> impl Iterator<Item = &ChunkCsr> + '_ {
-        (0..self.chunks.len()).map(|i| &**self.face_of(i))
+        self.chunks.iter().map(|c| &**c)
     }
 
-    /// Whether the `i`-th topology chunk currently has a built read face
-    /// (observability for the staleness tests: a mutation must flip this
-    /// to `false` for the touched chunks and leave the rest `true`).
-    pub fn csr_built(&self, i: usize) -> bool {
-        self.chunks[i].csr.get().is_some()
-    }
-
-    /// Builds every chunk's read face now (benchmarks use this to warm
-    /// the cache so timed runs measure the read path, not lazy builds).
-    pub fn ensure_csr(&self) {
-        for i in 0..self.chunks.len() {
-            self.face_of(i);
-        }
-    }
-
-    /// Whether the `i`-th chunk's built read face is physically shared
-    /// (`Arc::ptr_eq`) with `before`'s — the CSR analogue of
-    /// [`Graph::topology_chunk_shared_with`], proving snapshot installs
-    /// carry faces by pointer instead of rebuilding or copying them.
-    /// `false` if either side has no built face.
-    pub fn csr_shared_with(&self, before: &Graph, i: usize) -> bool {
-        match (self.chunks[i].csr.get(), before.chunks.get(i).and_then(|c| c.csr.get())) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
+    /// Kept for callers written against lazily built faces: faces are the
+    /// graph's storage and always built, so this does nothing.
+    pub fn ensure_csr(&self) {}
 
     /// Adds an isolated vertex, returning its id.
     pub fn add_vertex(&mut self, name: impl Into<String>) -> VertexId {
         let id = self.vertex_count;
-        let open_new = match self.chunks.last() {
-            None => true,
-            Some(c) => c.row_count() >= CHUNK_SPLIT_ROWS,
-        };
-        if open_new {
-            self.chunks.push(Arc::new(VertexChunk {
-                start: id,
-                adj: vec![Vec::new()],
-                pairs: vec![Vec::new(); self.label_names.len() * 2],
-                csr: OnceLock::new(),
-            }));
-            self.names.push(Arc::new(vec![name.into()]));
-            self.chunk_starts.push(id);
-        } else {
-            let last = self.chunks.len() - 1;
-            let c = self.chunk_mut(last);
-            c.adj.push(Vec::new());
-            Arc::make_mut(self.names.last_mut().unwrap()).push(name.into());
+        match self.chunks.last_mut() {
+            Some(c) if (c.rows() as usize) < CHUNK_SPLIT_ROWS => {
+                Arc::make_mut(c).push_row();
+                Arc::make_mut(self.names.last_mut().unwrap()).push(name.into());
+            }
+            _ => {
+                self.chunks.push(Arc::new(ChunkCsr::from_sorted(id, 1, &[])));
+                self.names.push(Arc::new(vec![name.into()]));
+                self.chunk_starts.push(id);
+            }
         }
         self.vertex_count += 1;
         id
@@ -475,12 +373,7 @@ impl Graph {
         if self.has_edge(v, u, l.fwd()) {
             return false;
         }
-        self.edge_halves(v, u, l, |row, entry, seg, pair| {
-            let i = row.binary_search(&entry).expect_err("edge half already present");
-            row.insert(i, entry);
-            let i = seg.binary_search(&pair).expect_err("pair half already present");
-            seg.insert(i, pair);
-        });
+        self.edge_halves(v, u, l, ChunkCsr::insert);
         self.pair_counts[l.fwd().0 as usize] += 1;
         self.pair_counts[l.inv().0 as usize] += 1;
         self.base_edge_count += 1;
@@ -496,19 +389,14 @@ impl Graph {
         if !self.has_edge(v, u, l.fwd()) {
             return false;
         }
-        self.edge_halves(v, u, l, |row, entry, seg, pair| {
-            let i = row.binary_search(&entry).expect("edge half present");
-            row.remove(i);
-            let i = seg.binary_search(&pair).expect("pair half present");
-            seg.remove(i);
-        });
+        self.edge_halves(v, u, l, ChunkCsr::remove);
         self.pair_counts[l.fwd().0 as usize] -= 1;
         self.pair_counts[l.inv().0 as usize] -= 1;
         self.base_edge_count -= 1;
         true
     }
 
-    /// Applies `apply` to both halves of the base edge `(v, u, ℓ)`: the
+    /// Applies `edit` to both halves of the base edge `(v, u, ℓ)`: the
     /// forward half in `v`'s chunk and the inverse half in `u`'s chunk —
     /// the only chunks an edge mutation copies.
     fn edge_halves(
@@ -516,29 +404,13 @@ impl Graph {
         v: VertexId,
         u: VertexId,
         l: Label,
-        mut apply: impl FnMut(&mut Vec<(u16, VertexId)>, (u16, VertexId), &mut Vec<Pair>, Pair),
+        edit: fn(&mut ChunkCsr, VertexId, ExtLabel, VertexId) -> bool,
     ) {
         for (x, y, el) in [(v, u, l.fwd()), (u, v, l.inv())] {
-            let (ci, off) = self.locate(x);
-            let c = self.chunk_mut(ci);
-            // Split borrows: the adjacency row and the pair segment live in
-            // different fields of the same chunk.
-            let (row, seg) = (&mut c.adj[off], &mut c.pairs[el.0 as usize]);
-            apply(row, (el.0, y), seg, Pair::new(x, y));
+            let (ci, _) = self.locate(x);
+            let changed = edit(Arc::make_mut(&mut self.chunks[ci]), x, el, y);
+            assert!(changed, "edge halves out of sync at ({x}, {el:?}, {y})");
         }
-    }
-
-    /// The one audited COW seam: clones chunk `ci` if shared and
-    /// invalidates its cached CSR face *before* handing out the mutable
-    /// reference. `Arc::make_mut` does not clone at refcount 1, so the
-    /// explicit `csr.take()` here is the only thing standing between
-    /// the cached read face and stale reads — route every chunk
-    /// mutation through this fn (the cpqx-analyze cow-seam rule checks
-    /// that).
-    fn chunk_mut(&mut self, ci: usize) -> &mut VertexChunk {
-        let c = Arc::make_mut(&mut self.chunks[ci]);
-        c.csr.take();
-        c
     }
 
     /// Removes every edge incident to `v` (the paper's vertex-deletion
@@ -546,10 +418,9 @@ impl Graph {
     /// edges as `(src, dst, label)` triples. The vertex id itself remains
     /// allocated but isolated.
     pub fn isolate_vertex(&mut self, v: VertexId) -> Vec<(VertexId, VertexId, Label)> {
-        let incident: Vec<(u16, VertexId)> = self.adjacency(v).to_vec();
+        let incident: Vec<(ExtLabel, VertexId)> = self.adjacency(v).collect();
         let mut removed = Vec::with_capacity(incident.len());
         for (el, t) in incident {
-            let el = ExtLabel(el);
             let (src, dst) = if el.is_inverse() { (t, v) } else { (v, t) };
             if self.remove_edge(src, dst, el.base()) {
                 removed.push((src, dst, el.base()));
@@ -586,10 +457,9 @@ impl Graph {
 
     /// Looks up a vertex by name (linear scan; intended for examples/tests).
     pub fn vertex_named(&self, name: &str) -> Option<VertexId> {
-        self.chunks
-            .iter()
-            .zip(&self.names)
-            .find_map(|(c, names)| names.iter().position(|n| n == name).map(|i| c.start + i as u32))
+        self.chunk_starts.iter().zip(&self.names).find_map(|(&start, names)| {
+            names.iter().position(|n| n == name).map(|i| start + i as u32)
+        })
     }
 
     /// Looks up a base label by name (linear scan over the small alphabet).
@@ -632,9 +502,9 @@ impl Graph {
         &self.label_names
     }
 
-    /// Number of topology chunks (the copy-on-write units carrying
-    /// adjacency rows and pair segments). Persistence surface: snapshot
-    /// writers emit one record per topology chunk.
+    /// Number of topology chunks (the copy-on-write units carrying the
+    /// label faces). Persistence surface: snapshot writers emit one
+    /// record per topology chunk.
     pub fn topology_chunk_count(&self) -> usize {
         self.chunks.len()
     }
@@ -645,14 +515,10 @@ impl Graph {
         self.names.len()
     }
 
-    /// The `i`-th topology chunk as `(start vertex id, adjacency rows)`.
-    /// Rows are indexed by `v - start` and sorted by `(ext label,
-    /// target)`. This is all a snapshot persists per chunk — the
-    /// per-label pair segments are derived state, rebuilt by
-    /// [`Graph::from_chunk_parts`].
-    pub fn topology_chunk(&self, i: usize) -> (VertexId, &[Vec<(u16, VertexId)>]) {
-        let c = &self.chunks[i];
-        (c.start, &c.adj)
+    /// The `i`-th topology chunk. A snapshot persists it row-major (see
+    /// [`ChunkCsr::row`]); [`Graph::from_chunk_parts`] rebuilds the faces.
+    pub fn topology_chunk(&self, i: usize) -> &ChunkCsr {
+        &self.chunks[i]
     }
 
     /// The `i`-th name chunk: display names of the vertices in the
@@ -678,12 +544,12 @@ impl Graph {
         matches!(before.names.get(i), Some(b) if Arc::ptr_eq(b, &self.names[i]))
     }
 
-    /// Reassembles a graph from persisted chunk parts, rebuilding all
-    /// derived state (per-label pair segments, pair counts, chunk
-    /// routing, edge count) exactly as [`GraphBuilder::build`] would.
+    /// Reassembles a graph from persisted chunk parts, building the label
+    /// faces and the derived totals (pair counts, chunk routing, edge
+    /// count) exactly as [`GraphBuilder::build`] would.
     ///
-    /// `topology[i]` is `(start, adjacency rows)` as produced by
-    /// [`Graph::topology_chunk`]; `names[i]` is the parallel name chunk.
+    /// `topology[i]` is `(start, adjacency rows)` — chunk `i`'s rows in
+    /// [`ChunkCsr::row`] order; `names[i]` is the parallel name chunk.
     /// The input is validated (contiguous chunk ranges, parallel name
     /// chunks, in-range sorted adjacency, forward/inverse symmetry of
     /// the pair totals) so a corrupt snapshot surfaces as an error
@@ -722,7 +588,7 @@ impl Graph {
         let mut chunk_starts = Vec::with_capacity(topology.len());
         let mut pair_counts = vec![0usize; nl * 2];
         for ((start, adj), ns) in topology.into_iter().zip(names) {
-            let mut pairs = vec![Vec::new(); nl * 2];
+            let mut edges = Vec::with_capacity(adj.iter().map(Vec::len).sum());
             for (off, row) in adj.iter().enumerate() {
                 let v = start + off as u32;
                 if !row.windows(2).all(|w| w[0] < w[1]) {
@@ -735,16 +601,15 @@ impl Graph {
                     if t >= vertex_count {
                         return Err("adjacency target out of range");
                     }
-                    // Rows ascend by vertex and entries by (label, target),
-                    // so each per-label segment comes out sorted for free.
-                    pairs[el as usize].push(Pair::new(v, t));
+                    pair_counts[el as usize] += 1;
+                    edges.push((el, v, t));
                 }
             }
-            for (l, p) in pairs.iter().enumerate() {
-                pair_counts[l] += p.len();
-            }
+            // Rows ascend by vertex and entries by (label, target): a
+            // stable sort by label alone yields (label, source, target).
+            edges.sort_by_key(|e| e.0);
             chunk_starts.push(start);
-            chunks.push(Arc::new(VertexChunk { start, adj, pairs, csr: OnceLock::new() }));
+            chunks.push(Arc::new(ChunkCsr::from_sorted(start, adj.len(), &edges)));
             name_chunks.push(Arc::new(ns));
         }
         let fwd_total: usize = (0..nl).map(|l| pair_counts[l * 2]).sum();
@@ -763,41 +628,16 @@ impl Graph {
         })
     }
 
-    /// A clone that shares **no** chunk with `self` — every chunk's
-    /// contents (topology and names) are copied up front. This reproduces
-    /// the cost of the pre-COW full-copy write path and exists for
-    /// benchmarking and regression comparison (see the engine's
-    /// `deep_clone_writes` option); ordinary code should use the
-    /// O(#chunks) `Clone`.
-    pub fn deep_clone(&self) -> Graph {
-        let mut g = self.clone();
-        for c in &mut g.chunks {
-            *c = Arc::new(VertexChunk::clone(c));
-        }
-        for n in &mut g.names {
-            *n = Arc::new(Vec::clone(n));
-        }
-        g
-    }
-
-    /// Approximate deep memory footprint in bytes (graph accounting used by
-    /// the experiment harness).
+    /// Approximate deep memory footprint of the topology in bytes (graph
+    /// accounting used by the experiment harness).
     pub fn size_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                let adj: usize = c.adj.iter().map(|a| a.capacity() * 8 + 24).sum();
-                let pairs: usize = c.pairs.iter().map(|p| p.capacity() * 8 + 24).sum();
-                adj + pairs
-            })
-            .sum()
+        self.chunks.iter().map(|c| c.size_bytes()).sum()
     }
 
     /// Summary statistics of the graph (degree distribution, label skew).
     pub fn stats(&self) -> GraphStats {
         let n = self.vertex_count() as usize;
-        let mut degrees: Vec<usize> =
-            self.chunks.iter().flat_map(|c| c.adj.iter().map(Vec::len)).collect();
+        let mut degrees: Vec<usize> = self.degrees().collect();
         degrees.sort_unstable();
         let max_degree = degrees.last().copied().unwrap_or(0);
         let median_degree = if n == 0 { 0 } else { degrees[n / 2] };
@@ -939,9 +779,8 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph with the default copy-on-write chunk
-    /// granularity: sorts adjacency, collapses multi-edges, builds the
-    /// per-label pair segments, and tiles the vertices into degree-balanced
-    /// chunks.
+    /// granularity: collapses multi-edges, tiles the vertices into
+    /// degree-balanced chunks, and builds each chunk's label faces.
     pub fn build(self) -> Graph {
         self.build_with_chunk_weight(TARGET_CHUNK_WEIGHT)
     }
@@ -970,44 +809,30 @@ impl GraphBuilder {
         let total: usize = deg.iter().map(|&d| d.max(1)).sum();
         let shards = total.div_ceil(target_weight.max(1)).max(1);
         let ranges = crate::view::balanced_ranges_by_weight(n as u32, shards, |v| deg[v as usize]);
+        let chunk_starts: Vec<VertexId> = ranges.iter().map(|r| r.start).collect();
+
+        // Both halves of every edge, bucketed by the chunk of their source.
+        let locate = |v: VertexId| chunk_starts.partition_point(|&s| s <= v) - 1;
+        let mut halves: Vec<Vec<(u16, VertexId, VertexId)>> = ranges
+            .iter()
+            .map(|r| Vec::with_capacity((r.start..r.end).map(|v| deg[v as usize]).sum()))
+            .collect();
+        let mut pair_counts = vec![0usize; nl * 2];
+        for &(v, u, l) in &edges {
+            halves[locate(v)].push((l.fwd().0, v, u));
+            halves[locate(u)].push((l.inv().0, u, v));
+            pair_counts[l.fwd().0 as usize] += 1;
+            pair_counts[l.inv().0 as usize] += 1;
+        }
 
         let mut name_iter = self.vertex_names.into_iter();
-        let mut chunks: Vec<Arc<VertexChunk>> = Vec::with_capacity(ranges.len());
+        let mut chunks: Vec<Arc<ChunkCsr>> = Vec::with_capacity(ranges.len());
         let mut names: Vec<Arc<Vec<String>>> = Vec::with_capacity(ranges.len());
-        let mut chunk_starts: Vec<VertexId> = Vec::with_capacity(ranges.len());
-        for r in &ranges {
+        for (r, mut h) in ranges.iter().zip(halves) {
             let rows = (r.end - r.start) as usize;
-            chunks.push(Arc::new(VertexChunk {
-                start: r.start,
-                adj: vec![Vec::new(); rows],
-                pairs: vec![Vec::new(); nl * 2],
-                csr: OnceLock::new(),
-            }));
+            h.sort_unstable();
+            chunks.push(Arc::new(ChunkCsr::from_sorted(r.start, rows, &h)));
             names.push(Arc::new(name_iter.by_ref().take(rows).collect()));
-            chunk_starts.push(r.start);
-        }
-
-        let locate = |v: VertexId| chunk_starts.partition_point(|&s| s <= v) - 1;
-        for &(v, u, l) in &edges {
-            let c = Arc::get_mut(&mut chunks[locate(v)]).expect("freshly built chunk is unique");
-            c.adj[(v - c.start) as usize].push((l.fwd().0, u));
-            c.pairs[l.fwd().0 as usize].push(Pair::new(v, u));
-            let c = Arc::get_mut(&mut chunks[locate(u)]).expect("freshly built chunk is unique");
-            c.adj[(u - c.start) as usize].push((l.inv().0, v));
-            c.pairs[l.inv().0 as usize].push(Pair::new(u, v));
-        }
-        let mut pair_counts = vec![0usize; nl * 2];
-        for chunk in &mut chunks {
-            let c = Arc::get_mut(chunk).expect("freshly built chunk is unique");
-            for a in &mut c.adj {
-                a.sort_unstable();
-                a.dedup();
-            }
-            for (l, p) in c.pairs.iter_mut().enumerate() {
-                p.sort_unstable();
-                p.dedup();
-                pair_counts[l] += p.len();
-            }
         }
         Graph {
             label_names: self.label_names,
@@ -1061,10 +886,8 @@ mod tests {
         let f = g.label_named("f").unwrap();
         let v = g.label_named("v").unwrap();
         let a = g.vertex_named("a").unwrap();
-        let nf: Vec<_> = g.neighbors(a, f.fwd()).iter().map(|&(_, t)| t).collect();
-        let nv: Vec<_> = g.neighbors(a, v.fwd()).iter().map(|&(_, t)| t).collect();
-        assert_eq!(nf, vec![g.vertex_named("b").unwrap()]);
-        assert_eq!(nv, vec![g.vertex_named("c").unwrap()]);
+        assert_eq!(g.neighbors(a, f.fwd()), [g.vertex_named("b").unwrap()]);
+        assert_eq!(g.neighbors(a, v.fwd()), [g.vertex_named("c").unwrap()]);
     }
 
     #[test]
@@ -1201,7 +1024,7 @@ mod tests {
         assert!(multi.chunk_count() > 8, "weight 8 must split 64 vertices");
         assert_eq!(mono.edge_count(), multi.edge_count());
         for v in mono.vertices() {
-            assert_eq!(mono.adjacency(v), multi.adjacency(v), "adjacency of {v}");
+            assert!(mono.adjacency(v).eq(multi.adjacency(v)), "adjacency of {v}");
             assert_eq!(mono.vertex_name(v), multi.vertex_name(v));
         }
         for l in mono.ext_labels() {
@@ -1239,18 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_clone_shares_nothing() {
-        let base = chunky(64, 8);
-        let g = base.deep_clone();
-        let d = g.cow_diff(&base);
-        assert_eq!(d.chunks_shared, 0);
-        assert_eq!(d.chunks_copied, base.chunk_count());
-        for l in base.ext_labels() {
-            assert_eq!(base.edge_pairs(l).to_vec(), g.edge_pairs(l).to_vec());
-        }
-    }
-
-    #[test]
     fn pair_list_views() {
         let g = chunky(64, 8);
         let f = g.label_named("f").unwrap();
@@ -1258,7 +1069,7 @@ mod tests {
         assert_eq!(all.len(), 128);
         assert_eq!(all.iter().count(), all.len());
         let flat = all.to_vec();
-        assert!(flat.windows(2).all(|w| w[0] < w[1]), "segment concat stays sorted");
+        assert!(flat.windows(2).all(|w| w[0] < w[1]), "chunk concat stays sorted");
         // Segmented restriction agrees with filtering.
         let sub = all.restrict_src(10, 30);
         let expect: Vec<Pair> =
@@ -1271,17 +1082,27 @@ mod tests {
         assert!(!sub.contains(Pair::new(40, 41)));
     }
 
-    /// Disassembles a graph through the persistence accessors and
-    /// reassembles it via `from_chunk_parts`.
-    fn chunk_roundtrip(g: &Graph) -> Graph {
+    /// A graph's persistence parts: label table, row-major topology
+    /// chunks, name chunks.
+    fn parts(g: &Graph) -> (Vec<String>, Vec<TopologyChunkParts>, Vec<Vec<String>>) {
         let topo = (0..g.topology_chunk_count())
             .map(|i| {
-                let (start, adj) = g.topology_chunk(i);
-                (start, adj.to_vec())
+                let c = g.topology_chunk(i);
+                let rows = (0..c.rows() as usize)
+                    .map(|r| c.row(r).map(|(l, t)| (l.0, t)).collect())
+                    .collect();
+                (c.start(), rows)
             })
             .collect();
         let names = (0..g.name_chunk_count()).map(|i| g.name_chunk(i).to_vec()).collect();
-        Graph::from_chunk_parts(g.label_names().to_vec(), topo, names).expect("valid parts")
+        (g.label_names().to_vec(), topo, names)
+    }
+
+    /// Disassembles a graph through the persistence accessors and
+    /// reassembles it via `from_chunk_parts`.
+    fn chunk_roundtrip(g: &Graph) -> Graph {
+        let (labels, topo, names) = parts(g);
+        Graph::from_chunk_parts(labels, topo, names).expect("valid parts")
     }
 
     #[test]
@@ -1297,7 +1118,7 @@ mod tests {
         assert_eq!(r.edge_count(), g.edge_count());
         assert_eq!(r.label_names(), g.label_names());
         for v in g.vertices() {
-            assert_eq!(r.adjacency(v), g.adjacency(v), "adjacency of {v}");
+            assert!(r.adjacency(v).eq(g.adjacency(v)), "adjacency of {v}");
             assert_eq!(r.vertex_name(v), g.vertex_name(v));
         }
         for l in g.ext_labels() {
@@ -1312,17 +1133,7 @@ mod tests {
     #[test]
     fn from_chunk_parts_rejects_corrupt_input() {
         let g = chunky(16, 8);
-        let take = |g: &Graph| {
-            let topo: Vec<_> = (0..g.topology_chunk_count())
-                .map(|i| {
-                    let (s, adj) = g.topology_chunk(i);
-                    (s, adj.to_vec())
-                })
-                .collect();
-            let names: Vec<_> =
-                (0..g.name_chunk_count()).map(|i| g.name_chunk(i).to_vec()).collect();
-            (g.label_names().to_vec(), topo, names)
-        };
+        let take = parts;
         // Non-contiguous starts.
         let (l, mut topo, names) = take(&g);
         topo.last_mut().unwrap().0 += 1;

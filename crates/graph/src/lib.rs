@@ -7,7 +7,9 @@
 //! paper prescribes. All code in this workspace operates on the extended
 //! view: an [`ExtLabel`] encodes a base [`Label`] plus a direction bit, and
 //! the adjacency of a vertex contains both forward and inverse extended
-//! edges, so a single lookup direction suffices everywhere.
+//! edges, so a single lookup direction suffices everywhere. Edges are
+//! stored once, as per-chunk, per-label CSR faces ([`csr`]): the reverse
+//! of `ℓ` is the face of `ℓ⁻¹`.
 //!
 //! Besides the core [`Graph`] type the crate ships:
 //!
@@ -22,9 +24,9 @@
 //! * [`io`] — a plain-text edge-list format,
 //! * [`view`] — zero-copy source-range shard views over the edge lists
 //!   (the unit of parallelism for sharded index construction),
-//! * [`csr`] — lazily built per-chunk, per-label CSR read faces (the
-//!   read-optimized counterpart of the copy-on-write chunks, invalidated
-//!   by mutation, shared across snapshot installs).
+//! * [`csr`] — the per-chunk, per-label CSR faces that are the graph's
+//!   copy-on-write edge storage (edited in place by mutation, shared by
+//!   pointer across snapshot installs).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

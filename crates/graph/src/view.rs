@@ -1,10 +1,10 @@
 //! Shard views over the graph's edge lists.
 //!
 //! A [`SrcRangeView`] restricts the per-label pair relations `⟦ℓ⟧` to pairs
-//! whose *source* vertex falls in a contiguous id range. Because pair lists
-//! are sorted source-major ([`Pair`] packs `v << 32 | u`), the restriction
-//! of every relation is a contiguous subslice — shard views are zero-copy
-//! and O(log |⟦ℓ⟧|) to obtain.
+//! whose *source* vertex falls in a contiguous id range. Because the label
+//! faces are stored row by row in vertex order, the restriction of every
+//! relation is a contiguous row window of each spanned chunk — shard views
+//! are zero-copy and O(log + #chunks in range) to obtain.
 //!
 //! Source-contiguous shards are the unit of parallelism for the engine's
 //! sharded index build: the set of s-t pairs `P≤k` partitions exactly by
@@ -14,7 +14,6 @@
 
 use crate::graph::{Graph, PairList, VertexId};
 use crate::label::ExtLabel;
-use crate::pair::Pair;
 use std::ops::Range;
 
 /// A zero-copy view of a graph's edge lists restricted to source vertices
@@ -40,7 +39,7 @@ impl<'g> SrcRangeView<'g> {
 
     /// The restriction of `⟦ℓ⟧` to pairs with source in this shard's range
     /// — a source-contiguous sub-view of the graph's sorted relation
-    /// (zero-copy: the view only narrows the per-chunk segments).
+    /// (zero-copy: the view only narrows the per-chunk row windows).
     pub fn edge_pairs(&self, l: ExtLabel) -> PairList<'g> {
         self.graph.edge_pairs(l).restrict_src(self.range.0, self.range.1)
     }
@@ -50,14 +49,6 @@ impl<'g> SrcRangeView<'g> {
     pub fn pair_count(&self) -> usize {
         self.graph.ext_labels().map(|l| self.edge_pairs(l).len()).sum()
     }
-}
-
-/// The contiguous subslice of a source-major sorted pair list whose sources
-/// lie in `[lo, hi)`.
-pub fn slice_by_src(pairs: &[Pair], lo: VertexId, hi: VertexId) -> &[Pair] {
-    let start = pairs.partition_point(|p| p.src() < lo);
-    let end = start + pairs[start..].partition_point(|p| p.src() < hi);
-    &pairs[start..end]
 }
 
 impl Graph {
@@ -152,6 +143,7 @@ pub fn balanced_ranges_by_weight(
 mod tests {
     use super::*;
     use crate::generate;
+    use crate::pair::Pair;
     use crate::GraphBuilder;
 
     #[test]

@@ -129,8 +129,7 @@ impl<'a> Wcoj<'a> {
             }
             if e.from == var {
                 match self.assign[e.to as usize] {
-                    Some(y) => lists
-                        .push(self.g.neighbors(y, e.label.inv()).iter().map(|&(_, t)| t).collect()),
+                    Some(y) => lists.push(self.g.neighbors(y, e.label.inv()).to_vec()),
                     None => {
                         // Unbound neighbor: var still must be a source of
                         // the label relation (hypertrie level projection).
@@ -142,8 +141,7 @@ impl<'a> Wcoj<'a> {
                 }
             } else {
                 match self.assign[e.from as usize] {
-                    Some(x) => lists
-                        .push(self.g.neighbors(x, e.label.fwd()).iter().map(|&(_, t)| t).collect()),
+                    Some(x) => lists.push(self.g.neighbors(x, e.label.fwd()).to_vec()),
                     None => {
                         let mut proj: Vec<VertexId> =
                             self.g.edge_pairs(e.label.inv()).iter().map(|p| p.src()).collect();

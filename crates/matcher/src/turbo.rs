@@ -157,7 +157,7 @@ impl<'a> Search<'a> {
 
     /// The sorted candidate list induced by `e` if its other endpoint is
     /// assigned: an adjacency slice of the graph.
-    fn constraint_list(&self, var: u32, e: &PatternEdge) -> Option<&'a [(u16, VertexId)]> {
+    fn constraint_list(&self, var: u32, e: &PatternEdge) -> Option<&'a [VertexId]> {
         if e.from == var && e.to == var {
             return None; // self-loop: verified, not enumerated
         }
@@ -188,7 +188,7 @@ impl<'a> Search<'a> {
             if let Some(list) = self.constraint_list(var, e) {
                 if list.len() < base_len {
                     base_len = list.len();
-                    base = Some(list.iter().map(|&(_, t)| t).collect());
+                    base = Some(list.to_vec());
                 }
             }
         }

@@ -123,7 +123,7 @@ impl EvalContext {
             // `(u, y) ∈ right` closes a loop iff `y →ℓ u`.
             self.acc.fit(g.vertex_count() as usize);
             for p in right {
-                if g.csr_targets(p.dst(), l).binary_search(&p.src()).is_ok() {
+                if g.neighbors(p.dst(), l).binary_search(&p.src()).is_ok() {
                     self.acc.insert(p.dst());
                 }
             }
@@ -172,7 +172,7 @@ impl EvalContext {
         let table = (pairs.len() >= width).then(|| face_rows(g, l));
         let row = |u: VertexId| match &table {
             Some(t) => t[u as usize],
-            None => g.csr_targets(u, l),
+            None => g.neighbors(u, l),
         };
         let mut out = Vec::new();
         for group in pairs.chunk_by(|a, b| a.src() == b.src()) {
@@ -218,7 +218,7 @@ impl EvalContext {
         } else {
             for group in pairs.chunk_by(|a, b| a.src() == b.src()) {
                 let v = group[0].src();
-                if group.iter().any(|p| g.csr_targets(p.dst(), l).binary_search(&v).is_ok()) {
+                if group.iter().any(|p| g.neighbors(p.dst(), l).binary_search(&v).is_ok()) {
                     out.push(Pair::new(v, v));
                 }
             }

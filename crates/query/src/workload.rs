@@ -48,7 +48,7 @@ fn extend(g: &Graph, v: u32, seq: &LabelSeq, depth: usize) -> bool {
         return true;
     }
     let l = seq.get(depth);
-    for &(_, t) in g.neighbors(v, l) {
+    for &t in g.neighbors(v, l) {
         if extend(g, t, seq, depth + 1) {
             return true;
         }

@@ -28,7 +28,7 @@ pub fn eval_product(g: &Graph, r: &Rpq) -> Vec<Pair> {
                 out.push(Pair::new(v, u));
             }
             for &(l, s2) in &adj[s as usize] {
-                for &(_, t) in g.neighbors(u, l) {
+                for &t in g.neighbors(u, l) {
                     for s3 in nfa.epsilon_closure(&[s2]) {
                         if seen.insert((t, s3)) {
                             frontier.push((t, s3));

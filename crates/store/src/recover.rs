@@ -4,7 +4,7 @@
 //!
 //! 1. **Load** the live manifest's snapshot: reassemble the graph from
 //!    its topology/name chunk records ([`Graph::from_chunk_parts`]
-//!    rebuilds the derived pair segments) and the index from its class
+//!    rebuilds the label faces) and the index from its class
 //!    chunk records ([`CpqxIndex::from_class_records`] rebuilds `Il2c`
 //!    and pair → class) — **no index construction happens**; restart
 //!    cost is I/O plus replay.

@@ -7,9 +7,9 @@
 //! * a **header** record: the graph's label table, the index's `k` and
 //!   mode (full / interest-aware with its interest set), and the three
 //!   chunk counts;
-//! * one record per graph **topology chunk** (adjacency rows; the
-//!   derived pair segments are rebuilt on load by
-//!   [`cpqx_graph::Graph::from_chunk_parts`]);
+//! * one record per graph **topology chunk** (its label faces,
+//!   serialised row-major; [`cpqx_graph::Graph::from_chunk_parts`]
+//!   rebuilds the faces on load);
 //! * one record per vertex-**name chunk**;
 //! * one record per index **class chunk**, whose payload is exactly
 //!   [`cpqx_core::CpqxIndex::save_class_chunk`]'s output (so its
@@ -254,18 +254,20 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<Header, String> {
     Ok(h)
 }
 
-/// Encodes topology chunk `i` of `graph`: the adjacency rows only —
-/// pair segments and counts are derived state, rebuilt on load.
+/// Encodes topology chunk `i` of `graph`: the row-major serialisation
+/// of its label faces (per vertex row, its `(ext label, target)` entries
+/// in label-then-target order). Pair counts are derived state, rebuilt
+/// on load.
 pub(crate) fn encode_topology_chunk(graph: &Graph, i: usize) -> Vec<u8> {
-    let (start, rows) = graph.topology_chunk(i);
+    let chunk = graph.topology_chunk(i);
     let mut out = vec![KIND_TOPOLOGY];
     out.extend_from_slice(&(i as u32).to_le_bytes());
-    out.extend_from_slice(&start.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    for row in rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for (ext, tgt) in row {
-            out.extend_from_slice(&ext.to_le_bytes());
+    out.extend_from_slice(&chunk.start().to_le_bytes());
+    out.extend_from_slice(&chunk.rows().to_le_bytes());
+    for r in 0..chunk.rows() as usize {
+        out.extend_from_slice(&(chunk.row_degree(r) as u32).to_le_bytes());
+        for (ext, tgt) in chunk.row(r) {
+            out.extend_from_slice(&ext.0.to_le_bytes());
             out.extend_from_slice(&tgt.to_le_bytes());
         }
     }
@@ -363,9 +365,11 @@ mod tests {
 
         for i in 0..g.topology_chunk_count() {
             let (ci, start, rows) = decode_topology_chunk(&encode_topology_chunk(&g, i)).unwrap();
-            let (want_start, want_rows) = g.topology_chunk(i);
-            assert_eq!((ci, start), (i, want_start));
-            assert_eq!(rows, want_rows);
+            assert_eq!((ci, start), (i, g.topology_chunk(i).start()));
+            for (off, row) in rows.iter().enumerate() {
+                let want: Vec<_> = g.adjacency(start + off as u32).map(|(l, t)| (l.0, t)).collect();
+                assert_eq!(*row, want);
+            }
         }
         for i in 0..g.name_chunk_count() {
             let (ci, names) = decode_name_chunk(&encode_name_chunk(&g, i)).unwrap();
@@ -380,6 +384,45 @@ mod tests {
         }
         let rebuilt = CpqxIndex::from_class_records(2, None, chunks).unwrap();
         assert_eq!(rebuilt.class_chunk_count(), idx.class_chunk_count());
+    }
+
+    /// TOPOLOGY records of a 2-label graph in two chunks — vertices
+    /// 0..3 and 3..5, with a self-loop on 2 and vertex 4 isolated — as
+    /// format version 1 writes them.
+    const GOLDEN_TOPOLOGY: [&str; 2] = [
+        "0100000000000000000300000003000000000001000000020002000000030003000000020000000000\
+         0200000001000000000004000000000002000000010001000000010002000000030000000000",
+        "010100000003000000020000000100000002000000000000000000",
+    ];
+
+    #[test]
+    fn topology_record_bytes_are_pinned() {
+        let mut b = cpqx_graph::GraphBuilder::new();
+        b.ensure_vertices(5);
+        let (f, g) = (b.label("f"), b.label("g"));
+        for (v, u, l) in [(0, 1, f), (1, 2, f), (0, 2, g), (2, 2, f), (3, 0, g)] {
+            b.add_edge(v, u, l);
+        }
+        let graph = b.build_with_chunk_weight(6);
+        assert_eq!(graph.topology_chunk_count(), GOLDEN_TOPOLOGY.len());
+        let mut topo = Vec::new();
+        for (i, golden) in GOLDEN_TOPOLOGY.iter().enumerate() {
+            let bytes: Vec<u8> = (0..golden.len())
+                .step_by(2)
+                .map(|at| u8::from_str_radix(&golden[at..at + 2], 16).unwrap())
+                .collect();
+            assert_eq!(encode_topology_chunk(&graph, i), bytes, "chunk {i} encoding");
+            let (ci, start, rows) = decode_topology_chunk(&bytes).unwrap();
+            assert_eq!(ci, i);
+            topo.push((start, rows));
+        }
+        let names = (0..2).map(|i| graph.name_chunk(i).to_vec()).collect();
+        let back = Graph::from_chunk_parts(graph.label_names().to_vec(), topo, names).unwrap();
+        for i in 0..GOLDEN_TOPOLOGY.len() {
+            assert_eq!(encode_topology_chunk(&back, i), encode_topology_chunk(&graph, i));
+        }
+        assert_eq!(back.edge_count(), 5);
+        assert!(back.has_edge(2, 2, f.inv()) && back.ext_degree(4) == 0);
     }
 
     #[test]
