@@ -95,9 +95,8 @@ impl Engine {
             let out = if opts.bypass_result_cache {
                 let out = Arc::new(snap.evaluate(&queries[i]));
                 // query_on records its own traffic; the bypass path must
-                // account itself — in both latency sinks, so reservoir
-                // and histogram percentiles stay comparable — or stats
-                // would undercount served queries.
+                // account itself, or stats would undercount served
+                // queries.
                 self.note_query(q0.elapsed(), false);
                 out
             } else {

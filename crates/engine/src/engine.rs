@@ -29,7 +29,7 @@
 
 use cpqx_core::{CpqxIndex, ExecOptions, Executor};
 use cpqx_graph::{Graph, Label, LabelSeq, Pair, VertexId};
-use cpqx_obs::{ObsOptions, Op, Recorder, Stage, TraceBuilder, TraceKind};
+use cpqx_obs::{Metric, ObsOptions, Op, Recorder, Stage, TraceBuilder, TraceKind};
 use cpqx_query::canonical::{cache_key, canonicalize};
 use cpqx_query::{Cpq, Plan};
 use std::collections::BTreeSet;
@@ -42,7 +42,7 @@ use crate::build::{
 use crate::cache::LruCache;
 use crate::delta::{apply_ops, Delta, DeltaError, DeltaOp, DeltaReport};
 use crate::durability::{DurabilityOptions, DurabilitySink};
-use crate::stats::{EngineCounters, StatsReport};
+use crate::stats::StatsReport;
 
 /// Engine construction knobs.
 #[derive(Clone, Debug)]
@@ -205,7 +205,6 @@ struct TaggedResults {
 pub struct Engine {
     current: RwLock<Arc<Snapshot>>,
     results: Mutex<TaggedResults>,
-    counters: EngineCounters,
     /// Serializes writers: clone → mutate → install must not interleave.
     writer: Mutex<()>,
     /// Phase timings of the most recent full build (initial build,
@@ -216,10 +215,12 @@ pub struct Engine {
     /// [`Engine::attach_durability`]). Consulted (one brief lock to
     /// clone the `Arc`) at the start of every logged write transaction.
     durability: Mutex<Option<Arc<dyn DurabilitySink>>>,
-    /// The observability recorder: per-opcode/per-stage histograms,
-    /// sampled traces, and the slow-query log. Shared with the network
-    /// front-end (see [`Engine::obs`]); the histograms behind it are
-    /// the source of [`StatsReport::p50`]/[`StatsReport::p99`].
+    /// The observability recorder: the metrics registry's values,
+    /// per-opcode/per-stage histograms, sampled traces, and the
+    /// slow-query log. Shared with the network front-end (see
+    /// [`Engine::obs`]); every counter of [`StatsReport`] lives here,
+    /// and its `Op::Query` histogram is the source of
+    /// [`StatsReport::p50`]/[`StatsReport::p99`].
     obs: Arc<Recorder>,
     options: EngineOptions,
 }
@@ -252,7 +253,6 @@ impl Engine {
                 epoch: 0,
                 cache: LruCache::new(options.result_cache_capacity),
             }),
-            counters: EngineCounters::default(),
             writer: Mutex::new(()),
             last_build: Mutex::new(report),
             durability: Mutex::new(None),
@@ -280,7 +280,6 @@ impl Engine {
                 epoch: 0,
                 cache: LruCache::new(options.result_cache_capacity),
             }),
-            counters: EngineCounters::default(),
             writer: Mutex::new(()),
             last_build: Mutex::new(BuildReport::default()),
             durability: Mutex::new(None),
@@ -404,7 +403,7 @@ impl Engine {
         let plan_timer = self.obs.timer();
         let (planned, plan_hit) = snap.plan_for(&key, &canonical);
         self.obs.stage(Stage::Plan, plan_timer, trace.as_deref_mut());
-        self.counters.record_plan(plan_hit);
+        self.obs.add(if plan_hit { Metric::PlanHits } else { Metric::PlanMisses }, 1);
         let eval_timer = self.obs.timer();
         let out = Arc::new(
             Executor::with_options(snap.index(), snap.graph(), snap.exec).run(&planned.plan),
@@ -419,7 +418,7 @@ impl Engine {
                 res.cache.insert(key, Arc::clone(&out));
             }
         } else {
-            self.counters.record_admission_rejected();
+            self.obs.add(Metric::RejectedAdmissions, 1);
         }
         self.note_query(t0.elapsed(), false);
         out
@@ -435,12 +434,12 @@ impl Engine {
         out
     }
 
-    /// Accounts one served query in both latency sinks: the reservoir
-    /// (cross-check) and the opcode histogram (source of p50/p99).
-    /// Every query-serving path must route through here so the two
-    /// stay comparable.
+    /// Accounts one served query: its counters and its latency in the
+    /// opcode histogram (the source of p50/p99). Every query-serving
+    /// path must route through here.
     pub(crate) fn note_query(&self, dur: Duration, cache_hit: bool) {
-        self.counters.record_query(dur, cache_hit);
+        self.obs.add(Metric::Queries, 1);
+        self.obs.add(if cache_hit { Metric::ResultHits } else { Metric::ResultMisses }, 1);
         self.obs.record_op(Op::Query, dur);
     }
 
@@ -479,7 +478,8 @@ impl Engine {
                 reason: format!("durability: WAL append failed: {e}"),
             })?;
         let (outcomes, applied) = result?;
-        self.counters.record_delta(applied as u64);
+        self.obs.add(Metric::DeltaTransactions, 1);
+        self.obs.add(Metric::LazyUpdateOps, applied as u64);
         if let Some(t0) = txn_timer {
             self.obs.record_op(Op::Delta, t0.elapsed());
         }
@@ -569,7 +569,7 @@ impl Engine {
         let snap = self.snapshot();
         let graph = snap.graph.clone();
         let (index, report) = self.build_fresh(&graph, snap.index.interests().cloned());
-        self.counters.record_rebuild(false);
+        self.obs.add(Metric::Rebuilds, 1);
         let epoch = self.install(graph, index);
         // Recorded only after the install: a concurrent stats() must never
         // pair this build's timings with the gauges of the snapshot it is
@@ -614,7 +614,7 @@ impl Engine {
         // over-reports activity, never attributes gauges to the wrong
         // snapshot.)
         let snap = self.snapshot();
-        let mut report = self.counters.report();
+        let mut report = StatsReport::from_recorder(&self.obs);
         // O(1) fragmentation gauges only — the full report's live-class
         // scan is too expensive for a stats endpoint polled by monitors.
         report.fragmentation_ratio = snap.index().fragmentation_ratio();
@@ -628,31 +628,15 @@ impl Engine {
         report.build_level1_parallel = build.level1_parallel;
         report.build_interest_shards = build.interest_shards;
         report.build_total = build.total;
-        // p50/p99 come from the log-bucketed opcode histogram (exact
-        // counts, no reservoir truncation) whenever the recorder has
-        // data; the reservoir values computed above remain as the
-        // fallback for a disabled recorder — and as the independent
-        // cross-check [`Engine::reservoir_report`] exposes to tests.
-        let h = self.obs.op_snapshot(Op::Query);
-        if h.count() > 0 {
-            if let Some(p50) = h.quantile(0.5) {
-                report.p50 = Duration::from_micros(p50);
-            }
-            if let Some(p99) = h.quantile(0.99) {
-                report.p99 = Duration::from_micros(p99);
-            }
-        }
         report
     }
 
-    /// The counters' report with **reservoir-based** p50/p99 (the
-    /// pre-histogram source): kept as an independent cross-check so
-    /// tests can assert the histogram quantiles agree with the sampled
-    /// reservoir to within one log bucket. Gauges (fragmentation, build
-    /// timings) are zero here — use [`Engine::stats`] for the full
-    /// report.
+    /// The registry's counter view: [`Engine::stats`] without the
+    /// snapshot gauges and build timings. An alias kept because
+    /// `perfbench/` reads `plan_misses` from it once per traced read;
+    /// drop it at the next change to that benchmark.
     pub fn reservoir_report(&self) -> StatsReport {
-        self.counters.report()
+        StatsReport::from_recorder(&self.obs)
     }
 
     /// The single write-transaction core every mutating path funnels
@@ -709,7 +693,8 @@ impl Engine {
                 let wal_timer = self.obs.timer();
                 let bytes = sink.append(&graph, ops)?;
                 self.obs.stage(Stage::WalAppend, wal_timer, trace.as_mut());
-                self.counters.record_wal(bytes);
+                self.obs.add(Metric::WalAppends, 1);
+                self.obs.add(Metric::WalBytes, bytes);
                 Some(sink)
             }
             _ => None,
@@ -718,7 +703,8 @@ impl Engine {
             Some(threshold) if index.fragmentation_ratio() > threshold => {
                 let (fresh, report) = self.build_fresh(&graph, index.interests().cloned());
                 index = fresh;
-                self.counters.record_rebuild(true);
+                self.obs.add(Metric::Rebuilds, 1);
+                self.obs.add(Metric::AutoRebuilds, 1);
                 Some(report)
             }
             _ => None,
@@ -727,14 +713,17 @@ impl Engine {
         // rebuild naturally reads as all-copied, a small delta as a few
         // copied chunks over a large shared remainder.
         let cow = graph.cow_diff(&snap.graph).merge(index.cow_diff(&snap.index));
-        self.counters.record_cow(cow.chunks_copied as u64, cow.chunks_shared as u64);
+        self.obs.add(Metric::CowChunksCopied, cow.chunks_copied as u64);
+        self.obs.add(Metric::CowChunksShared, cow.chunks_shared as u64);
         if let (Some(sink), Some(limit)) = (&sink, self.options.durability.checkpoint_wal_bytes) {
             if sink.wal_bytes_since_checkpoint() > limit {
                 // Checkpoints the exact (possibly auto-rebuilt) state the
                 // install below publishes. Failure is non-fatal: the WAL
                 // retains full coverage and the next trigger retries.
                 if let Ok(report) = sink.checkpoint(&graph, &index) {
-                    self.counters.record_checkpoint(report.chunks_written, report.chunks_skipped);
+                    self.obs.add(Metric::SnapshotsWritten, 1);
+                    self.obs.add(Metric::SnapshotChunksWritten, report.chunks_written);
+                    self.obs.add(Metric::SnapshotChunksSkipped, report.chunks_skipped);
                 }
             }
         }
@@ -765,7 +754,8 @@ impl Engine {
             let dropped = res.cache.len() as u64;
             res.epoch = epoch;
             res.cache.clear();
-            self.counters.record_swap(dropped);
+            self.obs.add(Metric::SnapshotSwaps, 1);
+            self.obs.add(Metric::InvalidatedResults, dropped);
         }
         let snapshot =
             Snapshot::new(graph, index, epoch, self.options.plan_cache_capacity, self.options.exec);
@@ -1111,28 +1101,6 @@ mod tests {
         let report = full.apply_delta(&crate::delta::Delta::new().insert_interest(fif)).unwrap();
         assert_eq!(report.outcomes, vec![OpOutcome::Noop]);
         assert_eq!(full.epoch(), 0);
-    }
-
-    #[test]
-    fn histogram_and_reservoir_percentiles_agree() {
-        let engine = gex_engine();
-        let snap = engine.snapshot();
-        for text in ["(f . f) & f^-1", "f . f", "f^-1 . f"] {
-            let q = parse_cpq(text, snap.graph()).unwrap();
-            for _ in 0..50 {
-                engine.query(&q);
-            }
-        }
-        let hist = engine.stats(); // histogram-sourced p50/p99
-        let reservoir = engine.reservoir_report(); // reservoir-sourced
-        assert_eq!(hist.queries, 150);
-        for (h, r) in [(hist.p50, reservoir.p50), (hist.p99, reservoir.p99)] {
-            let (bh, br) = (
-                cpqx_obs::bucket_index(h.as_micros() as u64),
-                cpqx_obs::bucket_index(r.as_micros() as u64),
-            );
-            assert!(bh.abs_diff(br) <= 1, "histogram {h:?} vs reservoir {r:?} ({bh} vs {br})");
-        }
     }
 
     #[test]

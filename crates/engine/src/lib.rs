@@ -68,4 +68,4 @@ pub use stats::{nearest_rank_quantile, StatsReport};
 // Observability types callers configure or consume through the engine
 // ([`EngineOptions::obs`], [`Engine::obs`]) — re-exported so engine
 // users don't need a direct `cpqx-obs` dependency.
-pub use cpqx_obs::{ObsOptions, Recorder};
+pub use cpqx_obs::{Metric, ObsOptions, Recorder};

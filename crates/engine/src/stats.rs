@@ -1,21 +1,18 @@
-//! Engine observability: counters, hit rates and latency percentiles.
+//! Engine statistics: the engine's typed view of the metrics registry.
 //!
-//! Counters are lock-free atomics bumped on the hot path; latencies go
-//! into a fixed-size mutex-guarded reservoir (overwriting round-robin, so
-//! percentiles reflect the most recent window without unbounded memory).
+//! Counters live in the recorder's registry ([`cpqx_obs::metrics`]),
+//! bumped with one relaxed atomic each on the hot path; p50/p99 come
+//! from the recorder's [`Op::Query`] latency histogram. A
+//! [`StatsReport`] copies both out, with hit rates derived.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use cpqx_obs::{Metric, Op, Recorder};
 use std::time::Duration;
 
-/// Size of the rolling latency window backing percentile estimates.
-const LATENCY_WINDOW: usize = 8192;
-
 /// The nearest-rank `p`-quantile of an ascending-sorted sample slice —
-/// the **single** quantile definition the engine uses (query-latency
-/// percentiles in [`EngineCounters::report`] and per-batch latency
-/// quantiles in `BatchOutcome::latency_quantile` both route here, so the
-/// two can never diverge again).
+/// the engine's quantile definition for raw samples (per-batch latency
+/// quantiles in `BatchOutcome::latency_quantile` route here; the
+/// histogram sketch behind [`StatsReport::p50`] tracks it within one
+/// log bucket, as `cpqx-obs`'s `hist_props` tests check).
 ///
 /// Semantics: `p` is clamped to `[0.0, 1.0]` (a non-finite `p` reads as
 /// `0.0`); the returned sample is `sorted[round((len - 1) · p)]`, i.e.
@@ -30,164 +27,6 @@ pub fn nearest_rank_quantile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
     Some(sorted[idx])
 }
 
-/// Live counters owned by the engine. Cheap to bump concurrently; read
-/// them through [`EngineCounters::report`].
-///
-/// Every field is a plain counter in the cpqx-analyze atomic-ordering
-/// sense: all accesses are `Relaxed` (audited — nothing is published
-/// through these values), and the rule keeps it that way.
-#[derive(Default)]
-pub struct EngineCounters {
-    queries: AtomicU64,
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    snapshot_swaps: AtomicU64,
-    invalidations: AtomicU64,
-    admission_rejections: AtomicU64,
-    delta_transactions: AtomicU64,
-    lazy_update_ops: AtomicU64,
-    rebuilds: AtomicU64,
-    auto_rebuilds: AtomicU64,
-    cow_chunks_copied: AtomicU64,
-    cow_chunks_shared: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_bytes: AtomicU64,
-    snapshots_written: AtomicU64,
-    snapshot_chunks_skipped: AtomicU64,
-    latencies_us: Mutex<LatencyWindow>,
-}
-
-#[derive(Default)]
-struct LatencyWindow {
-    samples: Vec<u64>,
-    next: usize,
-}
-
-impl EngineCounters {
-    pub(crate) fn record_query(&self, latency: Duration, result_hit: bool) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if result_hit {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.result_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let mut w = self.latencies_us.lock().unwrap();
-        if w.samples.len() < LATENCY_WINDOW {
-            // Fill phase: append, and derive the wrap cursor from the
-            // length so the two can never desynchronize — the cursor
-            // always names the slot holding the oldest sample once the
-            // window is full.
-            w.samples.push(us);
-            w.next = w.samples.len() % LATENCY_WINDOW;
-        } else {
-            // Wrap phase: overwrite the oldest sample and advance past
-            // it, keeping the cursor's invariant branch-locally instead
-            // of relying on a shared post-branch increment.
-            let at = w.next;
-            w.samples[at] = us;
-            w.next = (at + 1) % LATENCY_WINDOW;
-        }
-    }
-
-    pub(crate) fn record_plan(&self, hit: bool) {
-        if hit {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn record_swap(&self, invalidated: u64) {
-        self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
-        self.invalidations.fetch_add(invalidated, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_admission_rejected(&self) {
-        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_delta(&self, applied_ops: u64) {
-        self.delta_transactions.fetch_add(1, Ordering::Relaxed);
-        self.lazy_update_ops.fetch_add(applied_ops, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rebuild(&self, auto: bool) {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        if auto {
-            self.auto_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn record_cow(&self, copied: u64, shared: u64) {
-        self.cow_chunks_copied.fetch_add(copied, Ordering::Relaxed);
-        self.cow_chunks_shared.fetch_add(shared, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_wal(&self, bytes: u64) {
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_checkpoint(&self, chunks_written: u64, chunks_skipped: u64) {
-        // `chunks_written` is part of the checkpoint report but the gauge
-        // the protocol exposes is snapshot count + skipped chunks; the
-        // written side is recoverable as (total chunks - skipped) from
-        // the snapshot itself.
-        let _ = chunks_written;
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        self.snapshot_chunks_skipped.fetch_add(chunks_skipped, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time view of the counters.
-    pub fn report(&self) -> StatsReport {
-        let mut latencies = self.latencies_us.lock().unwrap().samples.clone();
-        latencies.sort_unstable();
-        let pct = |p: f64| -> Duration {
-            nearest_rank_quantile(&latencies, p).map_or(Duration::ZERO, Duration::from_micros)
-        };
-        let queries = self.queries.load(Ordering::Relaxed);
-        let result_hits = self.result_hits.load(Ordering::Relaxed);
-        let result_misses = self.result_misses.load(Ordering::Relaxed);
-        let plan_hits = self.plan_hits.load(Ordering::Relaxed);
-        let plan_misses = self.plan_misses.load(Ordering::Relaxed);
-        StatsReport {
-            queries,
-            result_hits,
-            result_misses,
-            result_hit_rate: rate(result_hits, result_hits + result_misses),
-            plan_hits,
-            plan_misses,
-            plan_hit_rate: rate(plan_hits, plan_hits + plan_misses),
-            snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed),
-            invalidated_results: self.invalidations.load(Ordering::Relaxed),
-            rejected_admissions: self.admission_rejections.load(Ordering::Relaxed),
-            delta_transactions: self.delta_transactions.load(Ordering::Relaxed),
-            lazy_update_ops: self.lazy_update_ops.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            auto_rebuilds: self.auto_rebuilds.load(Ordering::Relaxed),
-            cow_chunks_copied: self.cow_chunks_copied.load(Ordering::Relaxed),
-            cow_chunks_shared: self.cow_chunks_shared.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
-            snapshot_chunks_skipped: self.snapshot_chunks_skipped.load(Ordering::Relaxed),
-            fragmentation_ratio: 0.0,
-            class_slots: 0,
-            baseline_classes: 0,
-            build_level1: Duration::ZERO,
-            build_level1_parallel: Duration::ZERO,
-            build_interest_shards: Duration::ZERO,
-            build_total: Duration::ZERO,
-            latency_window: latencies.len(),
-            p50: pct(0.50),
-            p99: pct(0.99),
-        }
-    }
-}
-
 fn rate(hits: u64, total: u64) -> f64 {
     if total == 0 {
         0.0
@@ -196,7 +35,7 @@ fn rate(hits: u64, total: u64) -> f64 {
     }
 }
 
-/// Point-in-time engine statistics (see [`EngineCounters::report`]).
+/// Point-in-time engine statistics (see [`crate::Engine::stats`]).
 #[derive(Clone, Copy, Debug)]
 pub struct StatsReport {
     /// Queries served (cached or not).
@@ -274,12 +113,57 @@ pub struct StatsReport {
     pub build_interest_shards: Duration,
     /// End-to-end wall-clock of the most recent full build.
     pub build_total: Duration,
-    /// Latency samples currently in the rolling window.
-    pub latency_window: usize,
-    /// Median query latency over the window.
+    /// Median query latency since the engine started (zero while the
+    /// recorder is disabled).
     pub p50: Duration,
-    /// 99th-percentile query latency over the window.
+    /// 99th-percentile query latency since the engine started (zero
+    /// while the recorder is disabled).
     pub p99: Duration,
+}
+
+impl StatsReport {
+    /// The registry's engine counters, with p50/p99 from the recorder's
+    /// [`Op::Query`] histogram (zero while the recorder is disabled,
+    /// since the histogram then records nothing). Snapshot gauges and
+    /// build timings are zero here; [`crate::Engine::stats`] fills them.
+    pub fn from_recorder(obs: &Recorder) -> StatsReport {
+        let c = |m: Metric| obs.value(m);
+        let latency = obs.op_snapshot(Op::Query);
+        let pct = |p: f64| Duration::from_micros(latency.quantile(p).unwrap_or(0));
+        let (result_hits, result_misses) = (c(Metric::ResultHits), c(Metric::ResultMisses));
+        let (plan_hits, plan_misses) = (c(Metric::PlanHits), c(Metric::PlanMisses));
+        StatsReport {
+            queries: c(Metric::Queries),
+            result_hits,
+            result_misses,
+            result_hit_rate: rate(result_hits, result_hits + result_misses),
+            plan_hits,
+            plan_misses,
+            plan_hit_rate: rate(plan_hits, plan_hits + plan_misses),
+            snapshot_swaps: c(Metric::SnapshotSwaps),
+            invalidated_results: c(Metric::InvalidatedResults),
+            rejected_admissions: c(Metric::RejectedAdmissions),
+            delta_transactions: c(Metric::DeltaTransactions),
+            lazy_update_ops: c(Metric::LazyUpdateOps),
+            rebuilds: c(Metric::Rebuilds),
+            auto_rebuilds: c(Metric::AutoRebuilds),
+            cow_chunks_copied: c(Metric::CowChunksCopied),
+            cow_chunks_shared: c(Metric::CowChunksShared),
+            wal_appends: c(Metric::WalAppends),
+            wal_bytes: c(Metric::WalBytes),
+            snapshots_written: c(Metric::SnapshotsWritten),
+            snapshot_chunks_skipped: c(Metric::SnapshotChunksSkipped),
+            fragmentation_ratio: 0.0,
+            class_slots: 0,
+            baseline_classes: 0,
+            build_level1: Duration::ZERO,
+            build_level1_parallel: Duration::ZERO,
+            build_interest_shards: Duration::ZERO,
+            build_total: Duration::ZERO,
+            p50: pct(0.50),
+            p99: pct(0.99),
+        }
+    }
 }
 
 impl std::fmt::Display for StatsReport {
@@ -317,37 +201,54 @@ impl std::fmt::Display for StatsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpqx_obs::ObsOptions;
+
+    fn recorder() -> Recorder {
+        Recorder::new(&ObsOptions::default())
+    }
 
     #[test]
     fn rates_and_percentiles() {
-        let c = EngineCounters::default();
+        let r = recorder();
         for i in 0..100u64 {
-            c.record_query(Duration::from_micros(i + 1), i % 4 == 0);
+            r.add(Metric::Queries, 1);
+            r.add(if i % 4 == 0 { Metric::ResultHits } else { Metric::ResultMisses }, 1);
+            r.record_op(Op::Query, Duration::from_micros(i + 1));
         }
-        c.record_plan(true);
-        c.record_plan(false);
-        c.record_swap(3);
-        c.record_admission_rejected();
-        c.record_admission_rejected();
-        let r = c.report();
-        assert_eq!(r.rejected_admissions, 2);
-        assert_eq!(r.queries, 100);
-        assert_eq!(r.result_hits, 25);
-        assert!((r.result_hit_rate - 0.25).abs() < 1e-9);
-        assert!((r.plan_hit_rate - 0.5).abs() < 1e-9);
-        assert_eq!(r.snapshot_swaps, 1);
-        assert_eq!(r.invalidated_results, 3);
-        assert!(r.p50 >= Duration::from_micros(40) && r.p50 <= Duration::from_micros(60));
-        assert!(r.p99 >= r.p50);
-        assert!(!r.to_string().is_empty());
+        r.add(Metric::PlanHits, 1);
+        r.add(Metric::PlanMisses, 1);
+        r.add(Metric::SnapshotSwaps, 1);
+        r.add(Metric::InvalidatedResults, 3);
+        r.add(Metric::RejectedAdmissions, 2);
+        let s = StatsReport::from_recorder(&r);
+        assert_eq!(s.rejected_admissions, 2);
+        assert_eq!(s.queries, 100);
+        assert_eq!(s.result_hits, 25);
+        assert!((s.result_hit_rate - 0.25).abs() < 1e-9);
+        assert!((s.plan_hit_rate - 0.5).abs() < 1e-9);
+        assert_eq!(s.snapshot_swaps, 1);
+        assert_eq!(s.invalidated_results, 3);
+        assert!(s.p50 >= Duration::from_micros(40) && s.p50 <= Duration::from_micros(60));
+        assert!(s.p99 >= s.p50);
+        assert!(!s.to_string().is_empty());
     }
 
     #[test]
     fn empty_report_is_zeroed() {
-        let r = EngineCounters::default().report();
-        assert_eq!(r.queries, 0);
-        assert_eq!(r.result_hit_rate, 0.0);
-        assert_eq!(r.p50, Duration::ZERO);
+        let s = StatsReport::from_recorder(&recorder());
+        assert_eq!(s.queries, 0);
+        assert_eq!(s.result_hit_rate, 0.0);
+        assert_eq!(s.p50, Duration::ZERO);
+    }
+
+    #[test]
+    fn disabled_recorder_counts_but_reports_zero_percentiles() {
+        let r = Recorder::new(&ObsOptions::disabled());
+        r.add(Metric::Queries, 1);
+        r.record_op(Op::Query, Duration::from_micros(70));
+        let s = StatsReport::from_recorder(&r);
+        assert_eq!(s.queries, 1);
+        assert_eq!((s.p50, s.p99), (Duration::ZERO, Duration::ZERO));
     }
 
     #[test]
@@ -374,74 +275,45 @@ mod tests {
 
     #[test]
     fn build_timings_surface_in_display() {
-        let mut r = EngineCounters::default().report();
-        assert_eq!(r.build_total, Duration::ZERO);
-        r.build_level1 = Duration::from_millis(7);
-        r.build_level1_parallel = Duration::from_millis(5);
-        r.build_interest_shards = Duration::from_millis(3);
-        r.build_total = Duration::from_millis(11);
-        let text = r.to_string();
+        let mut s = StatsReport::from_recorder(&recorder());
+        assert_eq!(s.build_total, Duration::ZERO);
+        s.build_level1 = Duration::from_millis(7);
+        s.build_level1_parallel = Duration::from_millis(5);
+        s.build_interest_shards = Duration::from_millis(3);
+        s.build_total = Duration::from_millis(11);
+        let text = s.to_string();
         assert!(text.contains("build[total=11ms level1=7ms l1par=5ms ia=3ms]"), "{text}");
     }
 
     #[test]
     fn cow_counters_accumulate() {
-        let c = EngineCounters::default();
-        c.record_cow(3, 17);
-        c.record_cow(1, 19);
-        let r = c.report();
-        assert_eq!(r.cow_chunks_copied, 4);
-        assert_eq!(r.cow_chunks_shared, 36);
-        assert!(r.to_string().contains("cow=4/36"));
+        let r = recorder();
+        for (copied, shared) in [(3, 17), (1, 19)] {
+            r.add(Metric::CowChunksCopied, copied);
+            r.add(Metric::CowChunksShared, shared);
+        }
+        let s = StatsReport::from_recorder(&r);
+        assert_eq!(s.cow_chunks_copied, 4);
+        assert_eq!(s.cow_chunks_shared, 36);
+        assert!(s.to_string().contains("cow=4/36"));
     }
 
     #[test]
     fn durability_counters_accumulate() {
-        let c = EngineCounters::default();
-        c.record_wal(120);
-        c.record_wal(88);
-        c.record_checkpoint(3, 29);
-        let r = c.report();
-        assert_eq!(r.wal_appends, 2);
-        assert_eq!(r.wal_bytes, 208);
-        assert_eq!(r.snapshots_written, 1);
-        assert_eq!(r.snapshot_chunks_skipped, 29);
-        let text = r.to_string();
+        let r = recorder();
+        for bytes in [120, 88] {
+            r.add(Metric::WalAppends, 1);
+            r.add(Metric::WalBytes, bytes);
+        }
+        r.add(Metric::SnapshotsWritten, 1);
+        r.add(Metric::SnapshotChunksSkipped, 29);
+        let s = StatsReport::from_recorder(&r);
+        assert_eq!(s.wal_appends, 2);
+        assert_eq!(s.wal_bytes, 208);
+        assert_eq!(s.snapshots_written, 1);
+        assert_eq!(s.snapshot_chunks_skipped, 29);
+        let text = s.to_string();
         assert!(text.contains("wal[appends=2 bytes=208]"), "{text}");
         assert!(text.contains("snapshots[written=1 skipped=29]"), "{text}");
-    }
-
-    #[test]
-    fn window_wraps() {
-        let c = EngineCounters::default();
-        for i in 0..(LATENCY_WINDOW + 100) {
-            c.record_query(Duration::from_micros(i as u64), false);
-        }
-        let r = c.report();
-        assert_eq!(r.latency_window, LATENCY_WINDOW);
-    }
-
-    #[test]
-    fn window_wrap_evicts_the_oldest_sample() {
-        let c = EngineCounters::default();
-        // Fill exactly to capacity with distinct values 0..WINDOW; the
-        // wrap cursor must point back at slot 0 (the oldest sample).
-        for i in 0..LATENCY_WINDOW {
-            c.record_query(Duration::from_micros(i as u64), false);
-        }
-        {
-            let w = c.latencies_us.lock().unwrap();
-            assert_eq!(w.samples.len(), LATENCY_WINDOW);
-            assert_eq!(w.next, 0, "cursor must target the oldest slot after the fill phase");
-        }
-        // One more sample: it must land on slot 0, evicting value 0 —
-        // and only value 0.
-        c.record_query(Duration::from_micros(LATENCY_WINDOW as u64), false);
-        let w = c.latencies_us.lock().unwrap();
-        assert_eq!(w.samples.len(), LATENCY_WINDOW);
-        assert_eq!(w.samples[0], LATENCY_WINDOW as u64, "newest sample overwrites the oldest");
-        assert_eq!(w.samples[1], 1, "second-oldest survives");
-        assert_eq!(w.next, 1, "cursor advances past the overwritten slot");
-        assert!(!w.samples.contains(&0), "the oldest sample is the one evicted");
     }
 }

@@ -5,7 +5,9 @@
 //! integration tests exercise only on the happy path.
 
 use cpqx_core::CpqxIndex;
-use cpqx_engine::{CheckpointReport, Delta, DeltaOp, DurabilitySink, Engine, EngineOptions};
+use cpqx_engine::{
+    CheckpointReport, Delta, DeltaOp, DurabilitySink, Engine, EngineOptions, Metric,
+};
 use cpqx_graph::generate::gex;
 use cpqx_graph::{Graph, Label};
 use std::io;
@@ -129,4 +131,6 @@ fn checkpoint_fires_on_the_wal_bytes_threshold() {
     let stats = engine.stats();
     assert_eq!(stats.snapshots_written, 1);
     assert_eq!(stats.snapshot_chunks_skipped, 7);
+    // The written side is a registry counter of its own.
+    assert_eq!(engine.obs().value(Metric::SnapshotChunksWritten), 3);
 }

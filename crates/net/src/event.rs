@@ -32,7 +32,7 @@ use crate::proto::{
 };
 use crate::server::{handle, Shared};
 use crate::sys::{Epoll, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use cpqx_obs::Stage;
+use cpqx_obs::{Metric, Stage};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -57,9 +57,8 @@ pub(crate) struct Job {
     /// Reserved slot in that connection's response queue.
     seq: u64,
     req: Request,
-    /// Enqueue instant (when obs is enabled) — the Evaluate stage
-    /// includes queue wait, so the histogram shows client-experienced
-    /// evaluation latency.
+    /// Enqueue instant (when obs is enabled): the start of the
+    /// QueueWait stage, which ends when a worker pops the job.
     queued: Option<Instant>,
 }
 
@@ -199,7 +198,7 @@ fn run_loop(s: &Shared, listener: TcpListener) -> std::io::Result<()> {
     // core dropped those without a shutdown).
     for (_, conn) in lp.conns.drain() {
         let _ = conn.stream.shutdown(Shutdown::Both);
-        s.counters.open.fetch_sub(1, Ordering::Relaxed);
+        s.engine.obs().sub(Metric::OpenConnections, 1);
     }
     Ok(())
 }
@@ -229,8 +228,8 @@ fn accept_burst(lp: &mut Loop<'_>, listener: &TcpListener, now: Instant) {
                 if lp.epoll.add(fd, conn.interest, token).is_err() {
                     continue;
                 }
-                lp.s.counters.connections.fetch_add(1, Ordering::Relaxed);
-                lp.s.counters.open.fetch_add(1, Ordering::Relaxed);
+                obs.add(Metric::Connections, 1);
+                obs.add(Metric::OpenConnections, 1);
                 lp.conns.insert(token, conn);
                 if !pump(lp, token, now) {
                     close_conn(lp, token);
@@ -254,8 +253,8 @@ fn accept_burst(lp: &mut Loop<'_>, listener: &TcpListener, now: Instant) {
 /// socket's send buffer always holds it unless the peer already died —
 /// in which case nobody is reading anyway.
 fn reject_busy(s: &Shared, stream: &TcpStream) {
-    s.counters.rejected_connections.fetch_add(1, Ordering::Relaxed);
-    s.counters.errors.fetch_add(1, Ordering::Relaxed);
+    s.engine.obs().add(Metric::RejectedConnections, 1);
+    s.engine.obs().add(Metric::ErrorResponses, 1);
     let payload = encode_response(&Response::Error(WireError::new(
         ErrorCode::Busy,
         "server at connection capacity; retry later",
@@ -339,7 +338,7 @@ fn pump(lp: &mut Loop<'_>, token: u64, now: Instant) -> bool {
         conn.last_activity = now;
     }
     if too_large > 0 {
-        s.counters.errors.fetch_add(too_large as u64, Ordering::Relaxed);
+        s.engine.obs().add(Metric::ErrorResponses, too_large as u64);
     }
     if conn.unsent() > 0 {
         let obs = s.engine.obs();
@@ -528,7 +527,7 @@ fn process_frame(s: &Shared, conn: &mut Conn, token: u64, frame: &[u8]) {
 /// Queues an inline response, keeping the error counter exact.
 fn queue_inline(s: &Shared, conn: &mut Conn, resp: Response) {
     if matches!(resp, Response::Error(_)) {
-        s.counters.errors.fetch_add(1, Ordering::Relaxed);
+        s.engine.obs().add(Metric::ErrorResponses, 1);
     }
     conn.push_inline(resp);
 }
@@ -543,7 +542,7 @@ fn drain_completions(lp: &mut Loop<'_>, now: Instant) {
     let mut touched = Vec::new();
     for c in completed {
         if matches!(c.resp, Response::Error(_)) {
-            lp.s.counters.errors.fetch_add(1, Ordering::Relaxed);
+            lp.s.engine.obs().add(Metric::ErrorResponses, 1);
         }
         if let Some(conn) = lp.conns.get_mut(&c.conn) {
             conn.complete_slot(c.seq, c.resp);
@@ -568,7 +567,7 @@ fn close_conn(lp: &mut Loop<'_>, token: u64) {
     if let Some(conn) = lp.conns.remove(&token) {
         let _ = lp.epoll.del(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
-        lp.s.counters.open.fetch_sub(1, Ordering::Relaxed);
+        lp.s.engine.obs().sub(Metric::OpenConnections, 1);
     }
 }
 
@@ -592,8 +591,11 @@ pub(crate) fn worker_loop(s: &Shared) {
         let Some(job) = job else {
             return;
         };
+        let obs = s.engine.obs();
+        obs.stage(Stage::QueueWait, job.queued, None);
+        let t0 = obs.timer();
         let resp = handle(s, job.req);
-        s.engine.obs().stage(Stage::Evaluate, job.queued, None);
+        obs.stage(Stage::Evaluate, t0, None);
         s.done.lock().unwrap().push(Completion { conn: job.conn, seq: job.seq, resp });
         s.waker.signal();
     }

@@ -60,7 +60,7 @@ pub use client::{
 };
 pub use metrics::render_prometheus;
 pub use proto::{
-    ErrorCode, Request, Response, WireError, WireMetrics, WireNetCounters, WireOp, WireOutcome,
-    WireSeqLabel, WireStats, PROTOCOL_VERSION,
+    ErrorCode, Request, Response, StatsField, WireError, WireMetrics, WireOp, WireOutcome,
+    WireSample, WireSeqLabel, WireStats, PROTOCOL_VERSION,
 };
-pub use server::{NetStats, Server, ServerOptions};
+pub use server::{Server, ServerOptions};

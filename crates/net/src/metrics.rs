@@ -3,13 +3,16 @@
 //! [`render_prometheus`] renders the METRICS frame's typed report in the
 //! Prometheus text format (`metric{label="value"} number` lines with
 //! `# HELP` / `# TYPE` headers), so a scrape endpoint or a cron job can
-//! expose the server's histograms without any metrics dependency.
+//! expose the server's counters and histograms without any metrics
+//! dependency. Counters and gauges render by iterating the report's
+//! registry list, so every registry entry is a series.
 //! Latency histograms render as summaries — `quantile="0.5"` /
 //! `quantile="0.99"` series from the log-bucketed sketch, plus the exact
 //! `_count` / `_sum` / `_max` series — because the log buckets are the
 //! sketch's internal shape, not a useful axis for dashboards.
 
 use crate::proto::WireMetrics;
+use cpqx_obs::Metric;
 use std::fmt::Write;
 
 /// Escapes a Prometheus label value (backslash, double quote, newline).
@@ -35,28 +38,16 @@ pub fn render_prometheus(m: &WireMetrics) -> String {
     let _ = writeln!(w, "# TYPE cpqx_epoch gauge");
     let _ = writeln!(w, "cpqx_epoch {}", m.epoch);
 
-    let _ = writeln!(w, "# HELP cpqx_requests_total Requests served, by opcode.");
-    let _ = writeln!(w, "# TYPE cpqx_requests_total counter");
-    for (name, v) in [
-        ("ping", m.net.ping_requests),
-        ("query", m.net.query_requests),
-        ("batch", m.net.batch_requests),
-        ("update", m.net.update_requests),
-        ("delta", m.net.delta_requests),
-        ("stats", m.net.stats_requests),
-        ("metrics", m.net.metrics_requests),
-    ] {
-        let _ = writeln!(w, "cpqx_requests_total{{op=\"{name}\"}} {v}");
+    // The registry, by iteration: help and unit come from the local
+    // table (both sides speak the same protocol version, so the same
+    // table); a name this build does not know still renders.
+    for c in &m.counters {
+        if let Some(metric) = Metric::from_name(&c.name) {
+            let _ = writeln!(w, "# HELP {} {} [{}]", c.name, metric.help(), metric.unit());
+        }
+        let _ = writeln!(w, "# TYPE {} {}", c.name, c.kind.name());
+        let _ = writeln!(w, "{} {}", c.name, c.value);
     }
-    let _ = writeln!(w, "# TYPE cpqx_connections_total counter");
-    let _ = writeln!(w, "cpqx_connections_total {}", m.net.connections);
-    let _ = writeln!(w, "# TYPE cpqx_rejected_connections_total counter");
-    let _ = writeln!(w, "cpqx_rejected_connections_total {}", m.net.rejected_connections);
-    let _ = writeln!(w, "# HELP cpqx_open_connections Connections currently open.");
-    let _ = writeln!(w, "# TYPE cpqx_open_connections gauge");
-    let _ = writeln!(w, "cpqx_open_connections {}", m.net.open_connections);
-    let _ = writeln!(w, "# TYPE cpqx_error_responses_total counter");
-    let _ = writeln!(w, "cpqx_error_responses_total {}", m.net.error_responses);
 
     for (metric, help, series) in [
         (
@@ -88,10 +79,6 @@ pub fn render_prometheus(m: &WireMetrics) -> String {
         }
     }
 
-    let _ = writeln!(w, "# HELP cpqx_slow_queries_total Queries over the slow-query threshold.");
-    let _ = writeln!(w, "# TYPE cpqx_slow_queries_total counter");
-    let _ = writeln!(w, "cpqx_slow_queries_total {}", m.slow_total);
-
     if !m.workload.is_empty() {
         let _ = writeln!(
             w,
@@ -103,17 +90,19 @@ pub fn render_prometheus(m: &WireMetrics) -> String {
                 writeln!(w, "cpqx_workload_queries_total{{key=\"{}\"}} {count}", escape_label(key));
         }
     }
-    let _ = writeln!(w, "# TYPE cpqx_workload_keys_dropped_total counter");
-    let _ = writeln!(w, "cpqx_workload_keys_dropped_total {}", m.workload_dropped);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireNetCounters;
+    use crate::proto::WireSample;
     use cpqx_obs::{Histogram, Op as ObsOp, Stage};
     use std::time::Duration;
+
+    fn sample(metric: Metric, value: u64) -> WireSample {
+        WireSample { name: metric.name().to_string(), kind: metric.kind(), value }
+    }
 
     #[test]
     fn renders_all_sections() {
@@ -125,20 +114,19 @@ mod tests {
             epoch: 3,
             ops: vec![(ObsOp::Query, h.snapshot())],
             stages: vec![(Stage::Eval, h.snapshot())],
-            net: WireNetCounters {
-                connections: 1,
-                query_requests: 4,
-                open_connections: 1,
-                ..WireNetCounters::default()
-            },
-            slow_total: 1,
+            counters: vec![
+                sample(Metric::Connections, 1),
+                sample(Metric::QueryRequests, 4),
+                sample(Metric::OpenConnections, 1),
+                sample(Metric::SlowQueries, 1),
+            ],
             workload: vec![("(f\"quoted\")".into(), 4)],
             ..WireMetrics::default()
         };
         let text = render_prometheus(&m);
         assert!(text.contains("cpqx_epoch 3"));
-        assert!(text.contains("cpqx_requests_total{op=\"query\"} 4"));
-        assert!(text.contains("cpqx_open_connections 1"));
+        assert!(text.contains("cpqx_query_requests_total 4"));
+        assert!(text.contains("# TYPE cpqx_open_connections gauge\ncpqx_open_connections 1"));
         assert!(text.contains("cpqx_op_latency_us{op=\"query\",quantile=\"0.99\"}"));
         assert!(text.contains("cpqx_op_latency_us_count{op=\"query\"} 4"));
         assert!(text.contains("cpqx_stage_latency_us_max{stage=\"eval\"} 4000"));
@@ -157,5 +145,34 @@ mod tests {
         assert!(text.contains("cpqx_epoch 0"));
         assert!(!text.contains("cpqx_op_latency_us"));
         assert!(!text.contains("cpqx_workload_queries_total{"));
+    }
+
+    #[test]
+    fn every_registry_entry_renders_with_help_and_type() {
+        let m = WireMetrics {
+            counters: Metric::ALL.iter().map(|&m| sample(m, 7)).collect(),
+            ..WireMetrics::default()
+        };
+        let text = render_prometheus(&m);
+        for metric in Metric::ALL {
+            let name = metric.name();
+            let series: Vec<&str> =
+                text.lines().filter(|l| l.split(' ').next() == Some(name)).collect();
+            assert_eq!(series, [format!("{name} 7")], "{name}");
+            assert!(text.contains(&format!("# HELP {name} {}", metric.help())), "{name}");
+            assert!(text.contains(&format!("# TYPE {name} {}\n", metric.kind().name())), "{name}");
+        }
+        // A name this build does not know still renders, without HELP.
+        let unknown = WireMetrics {
+            counters: vec![WireSample {
+                name: "cpqx_future_total".into(),
+                kind: cpqx_obs::MetricKind::Counter,
+                value: 2,
+            }],
+            ..WireMetrics::default()
+        };
+        let text = render_prometheus(&unknown);
+        assert!(text.contains("# TYPE cpqx_future_total counter\ncpqx_future_total 2"));
+        assert!(!text.contains("# HELP cpqx_future_total"));
     }
 }

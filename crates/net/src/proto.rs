@@ -31,7 +31,7 @@
 //! layout tables.
 
 use cpqx_graph::Pair;
-use cpqx_obs::{HistogramSnapshot, Op as ObsOp, Span, Stage, Trace, TraceKind};
+use cpqx_obs::{HistogramSnapshot, Metric, MetricKind, Op as ObsOp, Span, Stage, Trace, TraceKind};
 use cpqx_query::{ParseError, ParseErrorKind};
 use std::io::{self, Read, Write};
 
@@ -55,8 +55,13 @@ pub const MAGIC: [u8; 4] = *b"CPQX";
 /// [`ErrorCode::Busy`] / [`ErrorCode::Timeout`] error codes; version 7
 /// added the [`ErrorCode::TooLarge`] error code and the `count` field of
 /// error frames ([`WireError::count`]), which carries the answer count
-/// of a reply too large for a frame.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// of a reply too large for a frame; version 8 replaced the METRICS
+/// frame's fixed net counters (and its `slow_total` /
+/// `workload_dropped` fields) with a name-tagged list of every metrics
+/// registry value ([`WireMetrics::counters`]) and added the
+/// [`Stage::QueueWait`] stage tag. The STATS layout is unchanged since
+/// version 6 ([`STATS_LAYOUT`]).
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Default bound on accepted payload sizes (16 MiB). Servers apply it to
 /// requests, clients to responses; both sides make it configurable.
@@ -243,8 +248,8 @@ pub enum Response {
         /// The engine epoch after the update.
         epoch: u64,
     },
-    /// Answer to [`Request::Stats`] (boxed: at 31 gauges the
-    /// payload would otherwise dominate every `Response`'s size).
+    /// Answer to [`Request::Stats`] (boxed: at 33 values the payload
+    /// would otherwise dominate every `Response`'s size).
     Stats(Box<WireStats>),
     /// Answer to [`Request::Delta`]: the transaction committed as one
     /// snapshot install (or changed nothing), with per-op outcomes in op
@@ -381,159 +386,182 @@ impl From<ParseError> for WireError {
     }
 }
 
-/// The statistics report the STATS frame carries: the engine's
-/// [`cpqx_engine::StatsReport`] plus the front-end's per-opcode request
-/// counters, flattened into fixed-width fields.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
+/// One slot of the STATS frame: a registry value, or a value the
+/// server derives when it builds the report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StatsField {
     /// Current engine epoch.
-    pub epoch: u64,
-    /// Queries served by the engine (cached or not).
-    pub queries: u64,
-    /// Result-cache hits.
-    pub result_hits: u64,
-    /// Result-cache misses (executed queries).
-    pub result_misses: u64,
-    /// Plan-cache hits.
-    pub plan_hits: u64,
-    /// Plans lowered fresh.
-    pub plan_misses: u64,
-    /// Snapshots installed by maintenance.
-    pub snapshot_swaps: u64,
-    /// Result-cache entries dropped by snapshot swaps.
-    pub invalidated_results: u64,
-    /// Results refused by the cache-admission policy.
-    pub rejected_admissions: u64,
-    /// Median engine query latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile engine query latency, microseconds.
-    pub p99_us: u64,
-    /// Delta transactions the engine has committed (wire DELTA and
-    /// UPDATE frames, plus in-process writers).
-    pub delta_transactions: u64,
-    /// Individual delta ops applied via lazy maintenance (no-ops
-    /// excluded).
-    pub lazy_update_ops: u64,
-    /// Full index rebuilds (manual + automatic).
-    pub rebuilds: u64,
-    /// Rebuilds triggered by the fragmentation threshold.
-    pub auto_rebuilds: u64,
-    /// Copy-on-write chunks copied by write transactions (cumulative,
-    /// graph + index): the O(changed) work the snapshot-per-write path
-    /// actually paid.
-    pub cow_chunks_copied: u64,
-    /// Copy-on-write chunks still shared with the replaced snapshot
-    /// after each write transaction (cumulative).
-    pub cow_chunks_shared: u64,
+    Epoch,
+    /// A metrics-registry value (see [`cpqx_obs::metrics`]).
+    Metric(Metric),
     /// Allocated class slots of the serving index (tombstones included).
-    pub class_slots: u64,
+    ClassSlots,
     /// Class count of the full build the serving index descends from.
-    pub baseline_classes: u64,
-    /// PING requests served.
-    pub ping_requests: u64,
-    /// QUERY requests served.
-    pub query_requests: u64,
-    /// BATCH requests served.
-    pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
-    /// DELTA requests served.
-    pub delta_requests: u64,
-    /// STATS requests served (includes the one reporting).
-    pub stats_requests: u64,
-    /// METRICS requests served (protocol ≥ 6 — tracked since protocol 5
-    /// but dropped from the STATS frame until then).
-    pub metrics_requests: u64,
-    /// Error frames the server has sent.
-    pub error_responses: u64,
-    /// Connections the server has accepted and served.
-    pub connections: u64,
-    /// Connections refused because the server was at capacity
-    /// (protocol ≥ 6 — tracked since protocol 1 but dropped from the
-    /// STATS frame until then).
-    pub rejected_connections: u64,
-    /// Delta transactions appended to the write-ahead log (zero when the
-    /// server runs without a durability layer).
-    pub wal_appends: u64,
-    /// Total bytes (payload + framing) those WAL appends wrote.
-    pub wal_bytes: u64,
-    /// Snapshot checkpoints persisted by the WAL-bytes trigger.
-    pub snapshots_written: u64,
-    /// Chunk records those checkpoints skipped as unchanged — the
-    /// incremental-snapshot savings gauge.
-    pub snapshot_chunks_skipped: u64,
+    BaselineClasses,
+    /// Median engine query latency in microseconds, from the
+    /// `Op::Query` histogram (0 while the recorder is disabled).
+    P50Us,
+    /// 99th-percentile engine query latency in microseconds, from the
+    /// same histogram.
+    P99Us,
+}
+
+impl StatsField {
+    /// Short name: the registry name without its `cpqx_` prefix and
+    /// `_total` suffix, or the derived value's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            StatsField::Epoch => "epoch",
+            StatsField::Metric(m) => {
+                let name = m.name().strip_prefix("cpqx_").unwrap_or(m.name());
+                name.strip_suffix("_total").unwrap_or(name)
+            }
+            StatsField::ClassSlots => "class_slots",
+            StatsField::BaselineClasses => "baseline_classes",
+            StatsField::P50Us => "p50_us",
+            StatsField::P99Us => "p99_us",
+        }
+    }
+}
+
+impl From<Metric> for StatsField {
+    fn from(m: Metric) -> StatsField {
+        StatsField::Metric(m)
+    }
+}
+
+/// Number of `u64` slots in the STATS frame.
+pub const STATS_FIELDS: usize = 33;
+
+/// The STATS frame's slots in wire order: the one place that order is
+/// written. Frozen since protocol 6; a new signal goes into the
+/// registry (and so into METRICS), not here.
+pub const STATS_LAYOUT: [StatsField; STATS_FIELDS] = {
+    use Metric as M;
+    use StatsField::Metric as R;
+    [
+        StatsField::Epoch,
+        R(M::Queries),
+        R(M::ResultHits),
+        R(M::ResultMisses),
+        R(M::PlanHits),
+        R(M::PlanMisses),
+        R(M::SnapshotSwaps),
+        R(M::InvalidatedResults),
+        R(M::RejectedAdmissions),
+        R(M::DeltaTransactions),
+        R(M::LazyUpdateOps),
+        R(M::Rebuilds),
+        R(M::AutoRebuilds),
+        R(M::CowChunksCopied),
+        R(M::CowChunksShared),
+        StatsField::ClassSlots,
+        StatsField::BaselineClasses,
+        StatsField::P50Us,
+        StatsField::P99Us,
+        R(M::PingRequests),
+        R(M::QueryRequests),
+        R(M::BatchRequests),
+        R(M::UpdateRequests),
+        R(M::DeltaRequests),
+        R(M::StatsRequests),
+        R(M::MetricsRequests),
+        R(M::ErrorResponses),
+        R(M::Connections),
+        R(M::RejectedConnections),
+        R(M::WalAppends),
+        R(M::WalBytes),
+        R(M::SnapshotsWritten),
+        R(M::SnapshotChunksSkipped),
+    ]
+};
+
+/// The statistics report the STATS frame carries: one `u64` per
+/// [`STATS_LAYOUT`] slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WireStats {
+    values: [u64; STATS_FIELDS],
+}
+
+impl Default for WireStats {
+    fn default() -> Self {
+        WireStats { values: [0; STATS_FIELDS] }
+    }
 }
 
 impl WireStats {
+    /// Builds a report by asking `value` for every slot, in wire order.
+    pub fn from_fn(value: impl FnMut(StatsField) -> u64) -> WireStats {
+        WireStats { values: STATS_LAYOUT.map(value) }
+    }
+
+    /// The value of one slot; `None` for a registry entry the frozen
+    /// layout does not carry (METRICS carries every entry).
+    pub fn get(&self, field: impl Into<StatsField>) -> Option<u64> {
+        let field = field.into();
+        STATS_LAYOUT.iter().position(|&f| f == field).map(|i| self.values[i])
+    }
+
+    fn value(&self, field: impl Into<StatsField>) -> u64 {
+        self.get(field).unwrap_or(0)
+    }
+
     /// Result-cache hit rate, `hits / (hits + misses)`.
     pub fn result_hit_rate(&self) -> f64 {
-        let total = self.result_hits + self.result_misses;
+        let hits = self.value(Metric::ResultHits);
+        let total = hits + self.value(Metric::ResultMisses);
         if total == 0 {
             0.0
         } else {
-            self.result_hits as f64 / total as f64
+            hits as f64 / total as f64
         }
     }
 
-    /// Total requests served across all opcodes.
+    /// Total requests served across all opcodes: every slot whose
+    /// registry unit is `requests`.
     pub fn total_requests(&self) -> u64 {
-        self.ping_requests
-            + self.query_requests
-            + self.batch_requests
-            + self.update_requests
-            + self.delta_requests
-            + self.stats_requests
-            + self.metrics_requests
+        let requests =
+            |f: &StatsField| matches!(f, StatsField::Metric(m) if m.unit() == "requests");
+        STATS_LAYOUT.iter().zip(self.values).filter(|(f, _)| requests(f)).map(|(_, v)| v).sum()
     }
 
     /// Current fragmentation ratio of the serving index,
     /// `class_slots / baseline_classes` (0.0 when unreported).
     pub fn fragmentation_ratio(&self) -> f64 {
-        if self.baseline_classes == 0 {
-            0.0
-        } else {
-            self.class_slots as f64 / self.baseline_classes as f64
+        match self.value(StatsField::BaselineClasses) {
+            0 => 0.0,
+            baseline => self.value(StatsField::ClassSlots) as f64 / baseline as f64,
         }
     }
 }
 
-/// The front-end request counters carried inside [`WireMetrics`] —
-/// the wire form of [`crate::NetStats`] plus the METRICS opcode's own
-/// counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireNetCounters {
-    /// Connections accepted and served.
-    pub connections: u64,
-    /// Connections closed because the accept queue was full.
-    pub rejected_connections: u64,
-    /// PING requests served.
-    pub ping_requests: u64,
-    /// QUERY requests served.
-    pub query_requests: u64,
-    /// BATCH requests served.
-    pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
-    /// DELTA requests served.
-    pub delta_requests: u64,
-    /// STATS requests served.
-    pub stats_requests: u64,
-    /// METRICS requests served (includes the one reporting).
-    pub metrics_requests: u64,
-    /// Error frames sent.
-    pub error_responses: u64,
-    /// Connections open right now (a gauge, not a counter; protocol
-    /// ≥ 6). With the event-driven core an open idle connection costs
-    /// buffers rather than a parked thread, so this may legitimately
-    /// dwarf the worker count.
-    pub open_connections: u64,
+/// Every slot as `name=value`, in wire order.
+impl std::fmt::Display for WireStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (field, value)) in STATS_LAYOUT.iter().zip(self.values).enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{}={value}", field.name())?;
+        }
+        Ok(())
+    }
+}
+
+/// One name-tagged registry value in a METRICS report.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WireSample {
+    /// The registry's series name ([`Metric::name`]).
+    pub name: String,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// The value when the report was built.
+    pub value: u64,
 }
 
 /// The observability report the METRICS frame carries (protocol ≥ 5):
 /// per-opcode and per-stage latency histograms in the sparse
-/// log-bucketed form of [`HistogramSnapshot`], the front-end's request
-/// counters, the slow-query ring, and the canonical-key workload counts
-/// that feed index advisor tooling.
+/// log-bucketed form of [`HistogramSnapshot`], every metrics-registry
+/// value (protocol ≥ 8), the slow-query ring, and the canonical-key
+/// workload counts that feed index advisor tooling.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireMetrics {
     /// Current engine epoch.
@@ -544,18 +572,12 @@ pub struct WireMetrics {
     /// Per-stage latency histograms, tag order; histograms with no
     /// samples are omitted.
     pub stages: Vec<(Stage, HistogramSnapshot)>,
-    /// The server's per-opcode request counters.
-    pub net: WireNetCounters,
+    /// Every registry counter and gauge, in registry order.
+    pub counters: Vec<WireSample>,
     /// Slow-query ring contents, oldest first.
     pub slow: Vec<Trace>,
-    /// Slow queries observed in total (entries evicted from the ring
-    /// included).
-    pub slow_total: u64,
     /// Canonical-key workload counts, most frequent first.
     pub workload: Vec<(String, u64)>,
-    /// Distinct canonical keys not counted because the workload table
-    /// was full.
-    pub workload_dropped: u64,
 }
 
 impl WireMetrics {
@@ -569,6 +591,11 @@ impl WireMetrics {
     /// never ran).
     pub fn stage_histogram(&self, stage: Stage) -> Option<&HistogramSnapshot> {
         self.stages.iter().find(|(s, _)| *s == stage).map(|(_, h)| h)
+    }
+
+    /// The reported value of a registry entry (`None` if absent).
+    pub fn get(&self, metric: Metric) -> Option<u64> {
+        self.counters.iter().find(|c| c.name == metric.name()).map(|c| c.value)
     }
 }
 
@@ -821,11 +848,18 @@ impl<'a> Cur<'a> {
                 Stage::from_u8(self.u8()?).ok_or(DecodeError::BadValue("metrics stage tag"))?;
             stages.push((stage, self.hist()?));
         }
-        let mut fields = [0u64; NET_COUNTER_FIELDS];
-        for f in fields.iter_mut() {
-            *f = self.u64()?;
+        let ncounters = self.u16()? as usize;
+        // Smallest entry: empty name (u32 len) + kind + value.
+        if self_inconsistent_count(ncounters, 13, self.remaining()) {
+            return Err(DecodeError::Truncated);
         }
-        let slow_total = self.u64()?;
+        let mut counters = Vec::with_capacity(ncounters);
+        for _ in 0..ncounters {
+            let name = self.str()?;
+            let kind =
+                MetricKind::from_u8(self.u8()?).ok_or(DecodeError::BadValue("metric kind"))?;
+            counters.push(WireSample { name, kind, value: self.u64()? });
+        }
         let nslow = self.u16()? as usize;
         // Smallest trace on the wire: tag + empty key + epoch + total +
         // an empty span count.
@@ -836,7 +870,6 @@ impl<'a> Cur<'a> {
         for _ in 0..nslow {
             slow.push(self.trace()?);
         }
-        let workload_dropped = self.u64()?;
         let nw = self.u32()? as usize;
         // Smallest workload entry: empty string (u32 len) + u64 count.
         if self_inconsistent_count(nw, 12, self.remaining()) {
@@ -847,16 +880,7 @@ impl<'a> Cur<'a> {
             let key = self.str()?;
             workload.push((key, self.u64()?));
         }
-        Ok(WireMetrics {
-            epoch,
-            ops,
-            stages,
-            net: net_counters_from_fields(fields),
-            slow,
-            slow_total,
-            workload,
-            workload_dropped,
-        })
+        Ok(WireMetrics { epoch, ops, stages, counters, slow, workload })
     }
 
     fn finish(self) -> Result<(), DecodeError> {
@@ -1071,8 +1095,8 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
         }
         Response::Stats(s) => {
             out.push(OP_STATS_RESULT);
-            for field in stats_fields(s) {
-                put_u64(out, field);
+            for &v in &s.values {
+                put_u64(out, v);
             }
         }
         Response::DeltaAck { epoch, rebuilt, outcomes } => {
@@ -1147,15 +1171,17 @@ fn put_metrics(out: &mut Vec<u8>, m: &WireMetrics) {
         out.push(*stage as u8);
         put_hist(out, h);
     }
-    for field in net_counter_fields(&m.net) {
-        put_u64(out, field);
+    // The registry has a few dozen rows; a u16 count is ample.
+    put_u16(out, m.counters.len().min(u16::MAX as usize) as u16);
+    for c in m.counters.iter().take(u16::MAX as usize) {
+        put_str(out, &c.name);
+        out.push(c.kind as u8);
+        put_u64(out, c.value);
     }
-    put_u64(out, m.slow_total);
     put_u16(out, m.slow.len().min(u16::MAX as usize) as u16);
     for t in m.slow.iter().take(u16::MAX as usize) {
         put_trace(out, t);
     }
-    put_u64(out, m.workload_dropped);
     put_u32(out, m.workload.len() as u32);
     for (key, count) in &m.workload {
         put_str(out, key);
@@ -1198,11 +1224,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
             Response::DeltaAck { epoch, rebuilt, outcomes }
         }
         OP_STATS_RESULT => {
-            let mut fields = [0u64; STATS_FIELDS];
-            for f in fields.iter_mut() {
-                *f = c.u64()?;
+            let mut values = [0u64; STATS_FIELDS];
+            for v in values.iter_mut() {
+                *v = c.u64()?;
             }
-            Response::Stats(Box::new(stats_from_fields(fields)))
+            Response::Stats(Box::new(WireStats { values }))
         }
         OP_METRICS_RESULT => Response::Metrics(Box::new(c.metrics()?)),
         OP_ERROR => {
@@ -1222,118 +1248,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
     };
     c.finish()?;
     Ok(resp)
-}
-
-const STATS_FIELDS: usize = 33;
-
-fn stats_fields(s: &WireStats) -> [u64; STATS_FIELDS] {
-    [
-        s.epoch,
-        s.queries,
-        s.result_hits,
-        s.result_misses,
-        s.plan_hits,
-        s.plan_misses,
-        s.snapshot_swaps,
-        s.invalidated_results,
-        s.rejected_admissions,
-        s.delta_transactions,
-        s.lazy_update_ops,
-        s.rebuilds,
-        s.auto_rebuilds,
-        s.cow_chunks_copied,
-        s.cow_chunks_shared,
-        s.class_slots,
-        s.baseline_classes,
-        s.p50_us,
-        s.p99_us,
-        s.ping_requests,
-        s.query_requests,
-        s.batch_requests,
-        s.update_requests,
-        s.delta_requests,
-        s.stats_requests,
-        s.metrics_requests,
-        s.error_responses,
-        s.connections,
-        s.rejected_connections,
-        s.wal_appends,
-        s.wal_bytes,
-        s.snapshots_written,
-        s.snapshot_chunks_skipped,
-    ]
-}
-
-const NET_COUNTER_FIELDS: usize = 11;
-
-fn net_counter_fields(n: &WireNetCounters) -> [u64; NET_COUNTER_FIELDS] {
-    [
-        n.connections,
-        n.rejected_connections,
-        n.ping_requests,
-        n.query_requests,
-        n.batch_requests,
-        n.update_requests,
-        n.delta_requests,
-        n.stats_requests,
-        n.metrics_requests,
-        n.error_responses,
-        n.open_connections,
-    ]
-}
-
-fn net_counters_from_fields(f: [u64; NET_COUNTER_FIELDS]) -> WireNetCounters {
-    WireNetCounters {
-        connections: f[0],
-        rejected_connections: f[1],
-        ping_requests: f[2],
-        query_requests: f[3],
-        batch_requests: f[4],
-        update_requests: f[5],
-        delta_requests: f[6],
-        stats_requests: f[7],
-        metrics_requests: f[8],
-        error_responses: f[9],
-        open_connections: f[10],
-    }
-}
-
-fn stats_from_fields(f: [u64; STATS_FIELDS]) -> WireStats {
-    WireStats {
-        epoch: f[0],
-        queries: f[1],
-        result_hits: f[2],
-        result_misses: f[3],
-        plan_hits: f[4],
-        plan_misses: f[5],
-        snapshot_swaps: f[6],
-        invalidated_results: f[7],
-        rejected_admissions: f[8],
-        delta_transactions: f[9],
-        lazy_update_ops: f[10],
-        rebuilds: f[11],
-        auto_rebuilds: f[12],
-        cow_chunks_copied: f[13],
-        cow_chunks_shared: f[14],
-        class_slots: f[15],
-        baseline_classes: f[16],
-        p50_us: f[17],
-        p99_us: f[18],
-        ping_requests: f[19],
-        query_requests: f[20],
-        batch_requests: f[21],
-        update_requests: f[22],
-        delta_requests: f[23],
-        stats_requests: f[24],
-        metrics_requests: f[25],
-        error_responses: f[26],
-        connections: f[27],
-        rejected_connections: f[28],
-        wal_appends: f[29],
-        wal_bytes: f[30],
-        snapshots_written: f[31],
-        snapshot_chunks_skipped: f[32],
-    }
 }
 
 // ------------------------------------------------------------- frame I/O --
@@ -1524,6 +1438,7 @@ mod tests {
     }
 
     fn sample_metrics() -> WireMetrics {
+        use MetricKind::{Counter, Gauge};
         let hist = |nonzero: &[(u16, u64)], total, sum, max| {
             HistogramSnapshot::from_parts(total, sum, max, nonzero).unwrap()
         };
@@ -1537,13 +1452,11 @@ mod tests {
                 (Stage::Plan, hist(&[(2, 5)], 5, 10, 2)),
                 (Stage::Eval, hist(&[(9, 4)], 4, 36, 11)),
             ],
-            net: WireNetCounters {
-                connections: 2,
-                query_requests: 5,
-                metrics_requests: 1,
-                open_connections: 2,
-                ..WireNetCounters::default()
-            },
+            counters: vec![
+                WireSample { name: "cpqx_connections_total".into(), kind: Counter, value: 2 },
+                WireSample { name: "cpqx_open_connections".into(), kind: Gauge, value: 2 },
+                WireSample { name: String::new(), kind: Counter, value: u64::MAX },
+            ],
             slow: vec![Trace {
                 kind: TraceKind::Query,
                 key: "((f.f)&f^-1)".into(),
@@ -1554,9 +1467,7 @@ mod tests {
                     Span { stage: Stage::Eval, start_us: 12, dur_us: 880, depth: 1 },
                 ],
             }],
-            slow_total: 3,
             workload: vec![("((f.f)&f^-1)".into(), 9), ("f".into(), 1)],
-            workload_dropped: 2,
         }
     }
 
@@ -1582,22 +1493,13 @@ mod tests {
                     WireOutcome::VertexAdded(4096),
                 ],
             },
-            Response::Stats(Box::new(WireStats {
-                epoch: 2,
-                queries: 100,
-                result_hits: 40,
-                result_misses: 60,
-                p99_us: 1234,
-                query_requests: 100,
-                metrics_requests: 3,
-                connections: 8,
-                rejected_connections: 2,
-                wal_appends: 12,
-                wal_bytes: 4096,
-                snapshots_written: 2,
-                snapshot_chunks_skipped: 77,
-                ..WireStats::default()
-            })),
+            Response::Stats(Box::default()),
+            Response::Stats(Box::new(WireStats::from_fn(|f| match f {
+                StatsField::Epoch => 2,
+                StatsField::P99Us => 1234,
+                StatsField::Metric(m) => 100 + m as u64,
+                _ => 0,
+            }))),
             Response::Metrics(Box::default()),
             Response::Metrics(Box::new(sample_metrics())),
             Response::Error(WireError {
@@ -1745,35 +1647,49 @@ mod tests {
         let mut bytes = encode_response(&Response::Metrics(Box::new(one_op)));
         bytes[37..39].copy_from_slice(&(cpqx_obs::BUCKETS as u16).to_be_bytes());
         assert_eq!(decode_response(&bytes), Err(DecodeError::BadValue("histogram bucket")));
-        // Bad trace kind in the slow-query ring.
-        let mut bytes = vec![OP_METRICS_RESULT];
+        // The header every case below shares: opcode, epoch, no op or
+        // stage histograms.
+        let header = || {
+            let mut bytes = vec![OP_METRICS_RESULT];
+            bytes.extend_from_slice(&0u64.to_be_bytes());
+            bytes.extend_from_slice(&[0, 0]);
+            bytes
+        };
+        // Bad kind tag in the registry list.
+        let mut bytes = header();
+        bytes.extend_from_slice(&1u16.to_be_bytes()); // one entry ...
+        put_str(&mut bytes, "cpqx_queries_total");
+        bytes.push(9); // ... of a kind that does not exist
         bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(0);
-        bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
-        bytes.extend_from_slice(&0u64.to_be_bytes()); // slow_total
+        bytes.extend_from_slice(&[0u8; 6]); // empty slow ring and workload
+        assert_eq!(decode_response(&bytes), Err(DecodeError::BadValue("metric kind")));
+        // A lying registry count fails fast on the count-consistency
+        // check; a lying name length runs out of payload.
+        let mut bytes = header();
+        bytes.extend_from_slice(&u16::MAX.to_be_bytes());
+        bytes.extend_from_slice(&[0u8; 13]);
+        assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
+        let mut bytes = header();
+        bytes.extend_from_slice(&1u16.to_be_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes()); // name length
+        bytes.extend_from_slice(&[0u8; 15]);
+        assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
+        // Bad trace kind in the slow-query ring.
+        let mut bytes = header();
+        bytes.extend_from_slice(&0u16.to_be_bytes()); // no registry values
         bytes.extend_from_slice(&1u16.to_be_bytes()); // one trace ...
         bytes.push(7); // ... of a kind that does not exist
         bytes.extend_from_slice(&[0u8; 32]);
         assert_eq!(decode_response(&bytes), Err(DecodeError::BadValue("trace kind")));
         // Hostile slow-trace and workload counts fail fast on the
         // count-consistency check.
-        let mut bytes = vec![OP_METRICS_RESULT];
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(0);
-        bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
-        bytes.extend_from_slice(&0u64.to_be_bytes());
+        let mut bytes = header();
+        bytes.extend_from_slice(&0u16.to_be_bytes());
         bytes.extend_from_slice(&u16::MAX.to_be_bytes());
         assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
-        let mut bytes = vec![OP_METRICS_RESULT];
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.push(0);
-        bytes.push(0);
-        bytes.extend_from_slice(&[0u8; 8 * NET_COUNTER_FIELDS]);
-        bytes.extend_from_slice(&0u64.to_be_bytes());
+        let mut bytes = header();
+        bytes.extend_from_slice(&0u16.to_be_bytes());
         bytes.extend_from_slice(&0u16.to_be_bytes()); // no slow traces
-        bytes.extend_from_slice(&0u64.to_be_bytes()); // workload_dropped
         bytes.extend_from_slice(&0x4000_0000u32.to_be_bytes());
         assert_eq!(decode_response(&bytes), Err(DecodeError::Truncated));
     }
@@ -1823,18 +1739,112 @@ mod tests {
 
     #[test]
     fn stats_helpers() {
-        let s = WireStats {
-            result_hits: 3,
-            result_misses: 1,
-            ping_requests: 1,
-            query_requests: 4,
-            metrics_requests: 2,
-            ..WireStats::default()
-        };
+        let s = WireStats::from_fn(|f| match f {
+            StatsField::Metric(Metric::ResultHits) => 3,
+            StatsField::Metric(Metric::ResultMisses) => 1,
+            StatsField::Metric(Metric::PingRequests) => 1,
+            StatsField::Metric(Metric::QueryRequests) => 4,
+            StatsField::Metric(Metric::MetricsRequests) => 2,
+            StatsField::ClassSlots => 6,
+            StatsField::BaselineClasses => 4,
+            _ => 0,
+        });
         assert!((s.result_hit_rate() - 0.75).abs() < 1e-9);
         // METRICS requests count too (dropped from the sum before v6).
         assert_eq!(s.total_requests(), 7);
+        assert!((s.fragmentation_ratio() - 1.5).abs() < 1e-9);
         assert_eq!(WireStats::default().result_hit_rate(), 0.0);
+        assert_eq!(WireStats::default().fragmentation_ratio(), 0.0);
+        assert_eq!(s.get(Metric::QueryRequests), Some(4));
+        let text = s.to_string();
+        assert!(text.starts_with("epoch=0 queries=0 result_cache_hits=3 "), "{text}");
+        assert!(text.contains(" class_slots=6 baseline_classes=4 p50_us=0 "), "{text}");
+        assert!(text.ends_with(" snapshot_chunks_skipped=0"), "{text}");
+        // Registry entries outside the frozen layout travel in METRICS.
+        assert_eq!(s.get(Metric::OpenConnections), None);
+    }
+
+    #[test]
+    fn stats_layout_names_each_slot_once() {
+        for (i, field) in STATS_LAYOUT.iter().enumerate() {
+            assert_eq!(STATS_LAYOUT.iter().position(|f| f == field), Some(i), "{field:?} twice");
+        }
+        for derived in [
+            StatsField::Epoch,
+            StatsField::ClassSlots,
+            StatsField::BaselineClasses,
+            StatsField::P50Us,
+            StatsField::P99Us,
+        ] {
+            assert!(STATS_LAYOUT.contains(&derived), "{derived:?} missing");
+        }
+        let registry = STATS_LAYOUT.iter().filter(|f| matches!(f, StatsField::Metric(_))).count();
+        assert_eq!(registry, STATS_FIELDS - 5);
+        // Every per-opcode request counter has a slot (total_requests
+        // sums them).
+        for m in Metric::ALL.into_iter().filter(|m| m.unit() == "requests") {
+            assert!(STATS_LAYOUT.contains(&StatsField::Metric(m)), "{m:?} missing");
+        }
+    }
+
+    /// The STATS_RESULT payload for fixed values, byte for byte: the
+    /// layout has been frozen since protocol 6, so these bytes are the
+    /// ones a protocol-7 server sent for the same values.
+    #[test]
+    fn stats_result_bytes_are_pinned() {
+        use Metric as M;
+        let s = WireStats::from_fn(|f| match f {
+            StatsField::Epoch => 1000,
+            StatsField::ClassSlots => 1015,
+            StatsField::BaselineClasses => 1016,
+            StatsField::P50Us => 1017,
+            StatsField::P99Us => 1018,
+            StatsField::Metric(m) => match m {
+                M::Queries => 1001,
+                M::ResultHits => 1002,
+                M::ResultMisses => 1003,
+                M::PlanHits => 1004,
+                M::PlanMisses => 1005,
+                M::SnapshotSwaps => 1006,
+                M::InvalidatedResults => 1007,
+                M::RejectedAdmissions => 1008,
+                M::DeltaTransactions => 1009,
+                M::LazyUpdateOps => 1010,
+                M::Rebuilds => 1011,
+                M::AutoRebuilds => 1012,
+                M::CowChunksCopied => 1013,
+                M::CowChunksShared => 1014,
+                M::PingRequests => 1019,
+                M::QueryRequests => 1020,
+                M::BatchRequests => 1021,
+                M::UpdateRequests => 1022,
+                M::DeltaRequests => 1023,
+                M::StatsRequests => 1024,
+                M::MetricsRequests => 1025,
+                M::ErrorResponses => 1026,
+                M::Connections => 1027,
+                M::RejectedConnections => 1028,
+                M::WalAppends => 1029,
+                M::WalBytes => 1030,
+                M::SnapshotsWritten => 1031,
+                M::SnapshotChunksSkipped => 1032,
+                _ => 0,
+            },
+        });
+        let bytes = encode_response(&Response::Stats(Box::new(s)));
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = "86\
+            00000000000003e800000000000003e900000000000003ea00000000000003eb\
+            00000000000003ec00000000000003ed00000000000003ee00000000000003ef\
+            00000000000003f000000000000003f100000000000003f200000000000003f3\
+            00000000000003f400000000000003f500000000000003f600000000000003f7\
+            00000000000003f800000000000003f900000000000003fa00000000000003fb\
+            00000000000003fc00000000000003fd00000000000003fe00000000000003ff\
+            0000000000000400000000000000040100000000000004020000000000000403\
+            0000000000000404000000000000040500000000000004060000000000000407\
+            0000000000000408";
+        assert_eq!(hex, golden);
+        assert_eq!(decode_response(&bytes), Ok(Response::Stats(Box::new(s))));
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! Backpressure: per-connection pipeline and write-backlog bounds pause
 //! reading from a peer that overruns the server, and a global
 //! [`ServerOptions::max_connections`] cap rejects new connections with
-//! a best-effort BUSY error frame (counted in
-//! [`NetStats::rejected_connections`]).
+//! a best-effort BUSY error frame (counted in the metrics registry's
+//! [`Metric::RejectedConnections`]).
+//!
+//! Counters: the front end keeps none of its own. Connection and
+//! request counts go into the engine's recorder
+//! ([`cpqx_engine::Engine::obs`]), beside the engine's counters, and the
+//! STATS and METRICS replies are views of that one registry.
 //!
 //! Consistency: every QUERY pins one engine snapshot for parse *and*
 //! evaluation, and every BATCH parses and evaluates all its queries on
@@ -31,19 +36,19 @@
 
 use crate::event::{event_loop, worker_loop, Completion, Job};
 use crate::proto::{
-    ErrorCode, Request, Response, WireError, WireMetrics, WireNetCounters, WireOp, WireOutcome,
-    WireSeqLabel, WireStats, DEFAULT_MAX_FRAME,
+    ErrorCode, Request, Response, StatsField, WireError, WireMetrics, WireOp, WireOutcome,
+    WireSample, WireSeqLabel, WireStats, DEFAULT_MAX_FRAME,
 };
 use crate::sys::EventFd;
 use cpqx_engine::delta::{Delta, DeltaOp, OpOutcome};
 use cpqx_engine::{BatchOptions, Engine};
 use cpqx_graph::{Graph, Label, LabelSeq};
-use cpqx_obs::{Op as ObsOp, Stage, TraceKind};
+use cpqx_obs::{Metric, Op as ObsOp, Stage, TraceKind};
 use cpqx_query::parse_cpq;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -99,68 +104,6 @@ impl Default for ServerOptions {
     }
 }
 
-/// Point-in-time front-end counters (see [`Server::net_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Connections accepted and registered with the event loop.
-    pub connections: u64,
-    /// Connections refused at the [`ServerOptions::max_connections`]
-    /// cap (each got a best-effort BUSY error frame).
-    pub rejected_connections: u64,
-    /// Connections currently open (a gauge, not a counter).
-    pub open_connections: u64,
-    /// PING requests served.
-    pub ping_requests: u64,
-    /// QUERY requests served.
-    pub query_requests: u64,
-    /// BATCH requests served.
-    pub batch_requests: u64,
-    /// UPDATE requests served.
-    pub update_requests: u64,
-    /// DELTA requests served.
-    pub delta_requests: u64,
-    /// STATS requests served.
-    pub stats_requests: u64,
-    /// METRICS requests served.
-    pub metrics_requests: u64,
-    /// Error frames sent (BUSY rejections included).
-    pub error_responses: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct NetCounters {
-    pub(crate) connections: AtomicU64,
-    pub(crate) rejected_connections: AtomicU64,
-    /// Gauge: incremented on register, decremented on close.
-    pub(crate) open: AtomicU64,
-    pub(crate) ping: AtomicU64,
-    pub(crate) query: AtomicU64,
-    pub(crate) batch: AtomicU64,
-    pub(crate) update: AtomicU64,
-    pub(crate) delta: AtomicU64,
-    pub(crate) stats: AtomicU64,
-    pub(crate) metrics: AtomicU64,
-    pub(crate) errors: AtomicU64,
-}
-
-impl NetCounters {
-    fn report(&self) -> NetStats {
-        NetStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            rejected_connections: self.rejected_connections.load(Ordering::Relaxed),
-            open_connections: self.open.load(Ordering::Relaxed),
-            ping_requests: self.ping.load(Ordering::Relaxed),
-            query_requests: self.query.load(Ordering::Relaxed),
-            batch_requests: self.batch.load(Ordering::Relaxed),
-            update_requests: self.update.load(Ordering::Relaxed),
-            delta_requests: self.delta.load(Ordering::Relaxed),
-            stats_requests: self.stats.load(Ordering::Relaxed),
-            metrics_requests: self.metrics.load(Ordering::Relaxed),
-            error_responses: self.errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// State shared by the event loop, the workers and the handle.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
@@ -176,7 +119,6 @@ pub(crate) struct Shared {
     /// Wakes the event loop out of `epoll_wait` (completions posted,
     /// shutdown requested).
     pub(crate) waker: EventFd,
-    pub(crate) counters: NetCounters,
 }
 
 /// A running TCP front-end. Threads start in [`Server::bind`] and stop in
@@ -206,7 +148,6 @@ impl Server {
             jobs_cv: Condvar::new(),
             done: Mutex::new(Vec::new()),
             waker: EventFd::new()?,
-            counters: NetCounters::default(),
         });
         let workers = (0..opts.workers.max(1))
             .map(|i| {
@@ -235,11 +176,6 @@ impl Server {
     /// The engine this server fronts.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.shared.engine
-    }
-
-    /// Current front-end counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.shared.counters.report()
     }
 
     /// Stops accepting, closes every connection (queued work included),
@@ -283,7 +219,7 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             "HELLO after handshake".to_string(),
         )),
         Request::Ping => {
-            s.counters.ping.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::PingRequests, 1);
             let t0 = s.engine.obs().timer();
             if let Some(t0) = t0 {
                 s.engine.obs().record_op(ObsOp::Ping, t0.elapsed());
@@ -291,7 +227,7 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             Response::Pong
         }
         Request::Query(text) => {
-            s.counters.query.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::QueryRequests, 1);
             // The server owns the whole-request trace so the span tree
             // covers parse as well as the engine's plan/cache/eval
             // stages (query_traced records into the same builder).
@@ -316,7 +252,7 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             resp
         }
         Request::Batch(texts) => {
-            s.counters.batch.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::BatchRequests, 1);
             let snap = s.engine.snapshot();
             let mut queries = Vec::with_capacity(texts.len());
             for (i, text) in texts.iter().enumerate() {
@@ -337,7 +273,7 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             }
         }
         Request::Update { insert, src, dst, label } => {
-            s.counters.update.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::UpdateRequests, 1);
             // The legacy opaque form is one op of the typed delta path.
             let op = if insert {
                 WireOp::InsertEdge { src, dst, label }
@@ -355,7 +291,7 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             }
         }
         Request::Delta(ops) => {
-            s.counters.delta.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::DeltaRequests, 1);
             match apply_wire_delta(s, &ops) {
                 Ok(report) => Response::DeltaAck {
                     epoch: report.epoch,
@@ -366,18 +302,18 @@ pub(crate) fn handle(s: &Shared, req: Request) -> Response {
             }
         }
         Request::Stats => {
-            s.counters.stats.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::StatsRequests, 1);
             let t0 = s.engine.obs().timer();
-            let resp = Response::Stats(Box::new(wire_stats(s)));
+            let resp = Response::Stats(Box::new(stats_report(s)));
             if let Some(t0) = t0 {
                 s.engine.obs().record_op(ObsOp::Stats, t0.elapsed());
             }
             resp
         }
         Request::Metrics => {
-            s.counters.metrics.fetch_add(1, Ordering::Relaxed);
+            s.engine.obs().add(Metric::MetricsRequests, 1);
             let t0 = s.engine.obs().timer();
-            let resp = Response::Metrics(Box::new(wire_metrics(s)));
+            let resp = Response::Metrics(Box::new(metrics_report(s)));
             // This request's own latency lands in the *next* report —
             // the snapshot above must not be mutated after it is taken.
             if let Some(t0) = t0 {
@@ -475,86 +411,42 @@ fn wire_outcome(o: &OpOutcome) -> WireOutcome {
     }
 }
 
-fn wire_stats(s: &Shared) -> WireStats {
+/// The STATS view: registry values plus the derived slots, in
+/// [`crate::proto::STATS_LAYOUT`] order.
+fn stats_report(s: &Shared) -> WireStats {
+    // `Engine::stats` pins the snapshot before the registry is read, so
+    // the gauges never describe a newer snapshot than the counters.
     let engine = s.engine.stats();
-    let net = s.counters.report();
-    WireStats {
-        epoch: s.engine.epoch(),
-        queries: engine.queries,
-        result_hits: engine.result_hits,
-        result_misses: engine.result_misses,
-        plan_hits: engine.plan_hits,
-        plan_misses: engine.plan_misses,
-        snapshot_swaps: engine.snapshot_swaps,
-        invalidated_results: engine.invalidated_results,
-        rejected_admissions: engine.rejected_admissions,
-        delta_transactions: engine.delta_transactions,
-        lazy_update_ops: engine.lazy_update_ops,
-        rebuilds: engine.rebuilds,
-        auto_rebuilds: engine.auto_rebuilds,
-        cow_chunks_copied: engine.cow_chunks_copied,
-        cow_chunks_shared: engine.cow_chunks_shared,
-        class_slots: engine.class_slots,
-        baseline_classes: engine.baseline_classes,
-        p50_us: engine.p50.as_micros().min(u64::MAX as u128) as u64,
-        p99_us: engine.p99.as_micros().min(u64::MAX as u128) as u64,
-        ping_requests: net.ping_requests,
-        query_requests: net.query_requests,
-        batch_requests: net.batch_requests,
-        update_requests: net.update_requests,
-        delta_requests: net.delta_requests,
-        stats_requests: net.stats_requests,
-        metrics_requests: net.metrics_requests,
-        error_responses: net.error_responses,
-        connections: net.connections,
-        rejected_connections: net.rejected_connections,
-        wal_appends: engine.wal_appends,
-        wal_bytes: engine.wal_bytes,
-        snapshots_written: engine.snapshots_written,
-        snapshot_chunks_skipped: engine.snapshot_chunks_skipped,
-    }
+    let obs = s.engine.obs();
+    let us = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
+    WireStats::from_fn(|field| match field {
+        StatsField::Epoch => s.engine.epoch(),
+        StatsField::Metric(m) => obs.value(m),
+        StatsField::ClassSlots => engine.class_slots,
+        StatsField::BaselineClasses => engine.baseline_classes,
+        StatsField::P50Us => us(engine.p50),
+        StatsField::P99Us => us(engine.p99),
+    })
 }
 
-fn wire_metrics(s: &Shared) -> WireMetrics {
+/// The METRICS view: non-empty histograms, every registry value, the
+/// slow-query ring and the workload table.
+fn metrics_report(s: &Shared) -> WireMetrics {
     let obs = s.engine.obs();
-    let net = s.counters.report();
     // Empty histograms are omitted: the common deployment exercises a
     // handful of opcodes/stages, and the sparse form keeps the frame
     // proportional to actual traffic.
-    let mut ops = Vec::new();
-    for op in ObsOp::ALL {
-        let h = obs.op_snapshot(op);
-        if h.count() > 0 {
-            ops.push((op, h));
-        }
-    }
-    let mut stages = Vec::new();
-    for stage in Stage::ALL {
-        let h = obs.stage_snapshot(stage);
-        if h.count() > 0 {
-            stages.push((stage, h));
-        }
-    }
+    let ops = ObsOp::ALL.into_iter().map(|op| (op, obs.op_snapshot(op)));
+    let stages = Stage::ALL.into_iter().map(|stage| (stage, obs.stage_snapshot(stage)));
     WireMetrics {
         epoch: s.engine.epoch(),
-        ops,
-        stages,
-        net: WireNetCounters {
-            connections: net.connections,
-            rejected_connections: net.rejected_connections,
-            ping_requests: net.ping_requests,
-            query_requests: net.query_requests,
-            batch_requests: net.batch_requests,
-            update_requests: net.update_requests,
-            delta_requests: net.delta_requests,
-            stats_requests: net.stats_requests,
-            metrics_requests: net.metrics_requests,
-            error_responses: net.error_responses,
-            open_connections: net.open_connections,
-        },
+        ops: ops.filter(|(_, h)| h.count() > 0).collect(),
+        stages: stages.filter(|(_, h)| h.count() > 0).collect(),
+        counters: Metric::ALL
+            .into_iter()
+            .map(|m| WireSample { name: m.name().to_string(), kind: m.kind(), value: obs.value(m) })
+            .collect(),
         slow: obs.slow_queries(),
-        slow_total: obs.slow_query_count(),
         workload: obs.workload_counts(),
-        workload_dropped: obs.workload_dropped(),
     }
 }

@@ -2,14 +2,16 @@
 //! clients and wire-driven maintenance, verified against sequential
 //! engine evaluation on pinned snapshots.
 
-use cpqx_engine::{Engine, EngineOptions, Snapshot};
+use cpqx_engine::{Engine, EngineOptions, Metric, Snapshot};
 use cpqx_graph::generate::{self, sample_edges, RandomGraphConfig};
 use cpqx_graph::Pair;
 use cpqx_net::proto::{
     decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,
     DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use cpqx_net::{Client, ClientError, ErrorCode, Server, ServerOptions, WireOp, WireOutcome};
+use cpqx_net::{
+    Client, ClientError, ErrorCode, Server, ServerOptions, StatsField, WireOp, WireOutcome,
+};
 use cpqx_query::workload::{GraphProbe, WorkloadGen};
 use cpqx_query::{benchqueries, parse_cpq, Cpq, Template};
 use std::collections::HashMap;
@@ -332,8 +334,8 @@ fn typed_deltas_with_pinned_readers_and_auto_rebuild() {
     assert!(epochs_seen.len() > 1, "deltas must have been visible to readers");
 
     let wire_stats = Client::connect(addr).unwrap().stats().expect("stats");
-    assert!(wire_stats.delta_requests >= WRITER_ROUNDS);
-    assert!(wire_stats.rebuilds >= 1);
+    assert!(wire_stats.get(Metric::DeltaRequests) >= Some(WRITER_ROUNDS));
+    assert!(wire_stats.get(Metric::Rebuilds) >= Some(1));
     assert!(wire_stats.fragmentation_ratio() > 0.0);
     server.shutdown();
     // The STATS frame must round-trip the engine's fragmentation and
@@ -341,10 +343,10 @@ fn typed_deltas_with_pinned_readers_and_auto_rebuild() {
     // fresh engine report and the last wire report describe the same
     // counters.
     let end = engine.stats();
-    assert_eq!(wire_stats.class_slots, end.class_slots);
-    assert_eq!(wire_stats.baseline_classes, end.baseline_classes);
-    assert_eq!(wire_stats.cow_chunks_copied, end.cow_chunks_copied);
-    assert_eq!(wire_stats.cow_chunks_shared, end.cow_chunks_shared);
+    assert_eq!(wire_stats.get(StatsField::ClassSlots), Some(end.class_slots));
+    assert_eq!(wire_stats.get(StatsField::BaselineClasses), Some(end.baseline_classes));
+    assert_eq!(wire_stats.get(Metric::CowChunksCopied), Some(end.cow_chunks_copied));
+    assert_eq!(wire_stats.get(Metric::CowChunksShared), Some(end.cow_chunks_shared));
     assert!(end.cow_chunks_copied > 0, "write transactions must have copied chunks: {end}");
 }
 
@@ -386,18 +388,18 @@ fn loopback_smoke_benchqueries() {
     }
 
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.batch_requests, 2);
-    assert_eq!(stats.update_requests, 1);
-    assert_eq!(stats.ping_requests, 1);
-    assert_eq!(stats.stats_requests, 1);
-    assert!(stats.queries >= 2 * texts.len() as u64);
+    assert_eq!(stats.get(StatsField::Epoch), Some(1));
+    assert_eq!(stats.get(Metric::BatchRequests), Some(2));
+    assert_eq!(stats.get(Metric::UpdateRequests), Some(1));
+    assert_eq!(stats.get(Metric::PingRequests), Some(1));
+    assert_eq!(stats.get(Metric::StatsRequests), Some(1));
+    assert!(stats.get(Metric::Queries) >= Some(2 * texts.len() as u64));
     // COW gauges round-trip the engine's report: one small delta copied a
     // few chunks and left the rest of the snapshot shared.
     let engine_stats = engine.stats();
-    assert_eq!(stats.cow_chunks_copied, engine_stats.cow_chunks_copied);
-    assert_eq!(stats.cow_chunks_shared, engine_stats.cow_chunks_shared);
-    assert!(stats.cow_chunks_copied > 0, "the UPDATE delta copied chunks");
+    assert_eq!(stats.get(Metric::CowChunksCopied), Some(engine_stats.cow_chunks_copied));
+    assert_eq!(stats.get(Metric::CowChunksShared), Some(engine_stats.cow_chunks_shared));
+    assert!(engine_stats.cow_chunks_copied > 0, "the UPDATE delta copied chunks");
     server.shutdown();
 }
 
@@ -507,7 +509,11 @@ fn oversize_reply_gets_a_typed_error_and_the_connection_survives() {
     // Replies under the limit still go through on the same connection.
     assert_eq!(client.query("(f . f) & id").expect("small reply").pairs.len(), 40);
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.error_responses, 3, "each oversize reply counts as an error");
+    assert_eq!(
+        stats.get(Metric::ErrorResponses),
+        Some(3),
+        "each oversize reply counts as an error"
+    );
     server.shutdown();
 }
 
@@ -627,17 +633,20 @@ fn connection_cap_rejects_with_busy_error() {
     }
 
     // The rejection and the open-connection gauge are visible over the
-    // wire (METRICS) and in the process-local report.
+    // wire (METRICS, STATS) and in the process-local registry.
     let metrics = a.metrics().expect("metrics");
-    assert_eq!(metrics.net.rejected_connections, 1);
-    assert_eq!(metrics.net.open_connections, 2);
+    assert_eq!(metrics.get(Metric::RejectedConnections), Some(1));
+    assert_eq!(metrics.get(Metric::OpenConnections), Some(2));
     let stats = a.stats().expect("stats");
-    assert_eq!(stats.rejected_connections, 1);
-    assert_eq!(stats.metrics_requests, 1, "STATS must carry the METRICS counter");
-    assert!(stats.error_responses >= 1, "the BUSY frame counts as an error response");
-    let local = server.net_stats();
-    assert_eq!(local.rejected_connections, 1);
-    assert_eq!(local.open_connections, 2);
+    assert_eq!(stats.get(Metric::RejectedConnections), Some(1));
+    assert_eq!(stats.get(Metric::MetricsRequests), Some(1), "STATS must carry the METRICS counter");
+    assert!(
+        stats.get(Metric::ErrorResponses) >= Some(1),
+        "the BUSY frame counts as an error response"
+    );
+    let local = server.engine().obs();
+    assert_eq!(local.value(Metric::RejectedConnections), 1);
+    assert_eq!(local.value(Metric::OpenConnections), 2);
 
     // Departures free slots: close one, the next connect succeeds.
     drop(b);

@@ -1,14 +1,18 @@
 //! Wire round-trip properties: a CPQ that crosses the protocol — render
 //! to text, frame, decode, parse — must come back semantically unchanged
 //! (equal canonical form), for every benchmark query and for randomly
-//! generated query trees.
+//! generated query trees; random delta frames and METRICS registry lists
+//! round-trip exactly, and their truncated or lying encodings fail with a
+//! typed error.
 
 use cpqx_graph::generate;
 use cpqx_graph::{ExtLabel, Graph};
 use cpqx_net::proto::{
-    decode_request, encode_request, read_frame, write_frame, Request, WireOp, WireSeqLabel,
+    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
+    DecodeError, Request, Response, WireMetrics, WireOp, WireSample, WireSeqLabel,
     DEFAULT_MAX_FRAME,
 };
+use cpqx_obs::{Metric, MetricKind};
 use cpqx_query::canonical::{cache_key, canonicalize};
 use cpqx_query::{benchqueries, parse_cpq, Cpq};
 use proptest::prelude::*;
@@ -136,5 +140,61 @@ proptest! {
         write_frame(&mut wire, &bytes).unwrap();
         let payload = read_frame(&mut std::io::Cursor::new(wire), DEFAULT_MAX_FRAME).unwrap();
         prop_assert_eq!(decode_request(&payload).unwrap(), req);
+    }
+}
+
+fn wire_sample_strategy() -> BoxedStrategy<WireSample> {
+    let name = prop_oneof![
+        Just(Metric::Queries.name().to_string()),
+        Just(Metric::OpenConnections.name().to_string()),
+        Just("cpqx_héld_total".to_string()), // non-ASCII names survive UTF-8 framing
+        Just(String::new()),
+    ];
+    (name, prop::bool::ANY, any::<u64>())
+        .prop_map(|(name, gauge, value)| WireSample {
+            name,
+            kind: if gauge { MetricKind::Gauge } else { MetricKind::Counter },
+            value,
+        })
+        .boxed()
+}
+
+/// Offset of the registry count in a METRICS_RESULT payload with no
+/// histograms: opcode 1 + epoch 8 + op count 1 + stage count 1.
+const COUNTERS_AT: usize = 11;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    // The METRICS registry list round-trips entry for entry; truncated
+    // encodings, counts above the real one, and string lengths past the
+    // end of the payload all come back as typed errors.
+    #[test]
+    fn random_counter_lists_survive_the_wire(
+        counters in prop::collection::vec(wire_sample_strategy(), 0..40),
+        extra in 1u16..u16::MAX,
+    ) {
+        let n = counters.len();
+        let resp = Response::Metrics(Box::new(WireMetrics {
+            epoch: 3,
+            counters,
+            ..WireMetrics::default()
+        }));
+        let bytes = encode_response(&resp);
+        prop_assert_eq!(decode_response(&bytes).unwrap(), resp);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_response(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        let mut lying = bytes.clone();
+        let count = (n as u16).saturating_add(extra);
+        lying[COUNTERS_AT..COUNTERS_AT + 2].copy_from_slice(&count.to_be_bytes());
+        prop_assert_eq!(decode_response(&lying), Err(DecodeError::Truncated));
+        if n > 0 {
+            let at = COUNTERS_AT + 2;
+            let past_end = (bytes.len() - at - 4) as u32 + u32::from(extra);
+            let mut lying = bytes.clone();
+            lying[at..at + 4].copy_from_slice(&past_end.to_be_bytes());
+            prop_assert_eq!(decode_response(&lying), Err(DecodeError::Truncated));
+        }
     }
 }

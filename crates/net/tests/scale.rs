@@ -7,7 +7,7 @@
 //! to an explicit skip instead of a spurious failure — CI sets the
 //! budget; laptops with tight ulimits just see the skip line.
 
-use cpqx_engine::{Engine, EngineOptions, Snapshot};
+use cpqx_engine::{Engine, EngineOptions, Metric, Snapshot};
 use cpqx_graph::generate::{self, sample_edges, RandomGraphConfig};
 use cpqx_graph::Pair;
 use cpqx_net::proto::{
@@ -86,7 +86,7 @@ fn idle_horde_does_not_starve_active_clients() {
             }
         }
     }
-    let open = server.net_stats().open_connections;
+    let open = server.engine().obs().value(Metric::OpenConnections);
     assert!(open >= budget as u64, "gauge says {open} open, expected ≥ {budget}");
 
     // Phase 2: active clients query (and one writes) through the horde.

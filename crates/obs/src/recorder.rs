@@ -1,5 +1,6 @@
 //! The [`Recorder`]: sampling policy, per-opcode and per-stage
-//! histograms, the bounded trace ring, and the slow-query log.
+//! histograms, the bounded trace ring, the slow-query log, and the
+//! values of the [`crate::metrics`] registry.
 //!
 //! One recorder lives in the engine and is shared (behind an `Arc`)
 //! with every serving thread. The hot path is built so that:
@@ -14,11 +15,15 @@
 //!   drains into the bounded shared ring in one short mutex section at
 //!   the end.
 //!
+//! Registry values are the exception: [`Recorder::add`] counts on
+//! every call, enabled or not, at the cost of one relaxed `fetch_add`.
+//!
 //! Arming the slow-query threshold traces *every* query (the builder
 //! is cheap: one small Vec) so a slow one is never missed; sampling
 //! still decides which traces enter the general ring.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::metrics::{Metric, METRIC_COUNT};
 use crate::span::{Stage, Trace, TraceBuilder, TraceKind, STAGE_COUNT};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,17 +125,14 @@ impl ObsOptions {
 struct Ring {
     buf: VecDeque<Trace>,
     cap: usize,
-    /// Total pushes ever, including evicted ones.
-    pushed: u64,
 }
 
 impl Ring {
     fn new(cap: usize) -> Ring {
-        Ring { buf: VecDeque::with_capacity(cap.min(1024)), cap, pushed: 0 }
+        Ring { buf: VecDeque::with_capacity(cap.min(1024)), cap }
     }
 
     fn push(&mut self, t: Trace) {
-        self.pushed += 1;
         if self.cap == 0 {
             return;
         }
@@ -153,7 +155,8 @@ pub struct Recorder {
     slow: Mutex<Ring>,
     workload: Mutex<HashMap<String, u64>>,
     workload_cap: usize,
-    workload_dropped: AtomicU64,
+    /// The registry's values, indexed by [`Metric`].
+    values: [AtomicU64; METRIC_COUNT],
 }
 
 impl Recorder {
@@ -174,7 +177,7 @@ impl Recorder {
             slow: Mutex::new(Ring::new(options.slow_log)),
             workload: Mutex::new(HashMap::new()),
             workload_cap: options.workload_keys,
-            workload_dropped: AtomicU64::new(0),
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -254,11 +257,30 @@ impl Recorder {
         }
         let slow_us = self.slow_us.load(Ordering::Relaxed);
         if trace.kind == TraceKind::Query && slow_us > 0 && trace.total_us >= slow_us {
+            self.add(Metric::SlowQueries, 1);
             self.slow.lock().unwrap().push(trace.clone());
         }
         if sampled {
             self.traces.lock().unwrap().push(trace);
         }
+    }
+
+    /// Adds `n` to a registry value. Counts even when the recorder is
+    /// disabled (see [`crate::metrics`]).
+    #[inline]
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.values[metric as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts `n` from a gauge.
+    #[inline]
+    pub fn sub(&self, metric: Metric, n: u64) {
+        self.values[metric as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// The current value of a registry entry.
+    pub fn value(&self, metric: Metric) -> u64 {
+        self.values[metric as usize].load(Ordering::Relaxed)
     }
 
     /// Records one request's total latency under its opcode.
@@ -344,11 +366,6 @@ impl Recorder {
         self.slow.lock().unwrap().buf.iter().cloned().collect()
     }
 
-    /// Total slow queries ever captured (including evicted entries).
-    pub fn slow_query_count(&self) -> u64 {
-        self.slow.lock().unwrap().pushed
-    }
-
     /// The observed workload: canonical keys with their traced-query
     /// counts, heaviest first. With only sampling armed these are
     /// 1-in-`sample_every` frequencies; with the slow-query log armed
@@ -360,11 +377,6 @@ impl Recorder {
         counts
     }
 
-    /// Keys dropped because the workload table hit its capacity.
-    pub fn workload_dropped(&self) -> u64 {
-        self.workload_dropped.load(Ordering::Relaxed)
-    }
-
     fn count_workload(&self, key: &str) {
         let mut map = self.workload.lock().unwrap();
         if let Some(c) = map.get_mut(key) {
@@ -372,7 +384,7 @@ impl Recorder {
         } else if map.len() < self.workload_cap {
             map.insert(key.to_string(), 1);
         } else {
-            self.workload_dropped.fetch_add(1, Ordering::Relaxed);
+            self.add(Metric::WorkloadKeysDropped, 1);
         }
     }
 }
@@ -406,6 +418,9 @@ mod tests {
             1,
         );
         assert!(r.traces().is_empty());
+        // The registry counts regardless.
+        r.add(Metric::Queries, 2);
+        assert_eq!(r.value(Metric::Queries), 2);
     }
 
     #[test]
@@ -439,7 +454,7 @@ mod tests {
         assert_eq!(slow[0].key, "k1");
         assert_eq!(slow[0].epoch, 3);
         assert_eq!(r.workload_counts(), vec![("k1".to_string(), 1)]);
-        assert_eq!(r.slow_query_count(), 1);
+        assert_eq!(r.value(Metric::SlowQueries), 1);
     }
 
     #[test]
@@ -472,6 +487,6 @@ mod tests {
         let counts = r.workload_counts();
         assert_eq!(counts.len(), 2);
         assert_eq!(counts[0], ("a".to_string(), 2));
-        assert_eq!(r.workload_dropped(), 1);
+        assert_eq!(r.value(Metric::WorkloadKeysDropped), 1);
     }
 }

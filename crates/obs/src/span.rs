@@ -49,15 +49,18 @@ pub enum Stage {
     /// Server: one readiness dispatch for a connection (read + frame
     /// reassembly + decode + inline handling or worker hand-off).
     Readiness = 15,
-    /// Server: worker-pool evaluation of one request (includes queue
-    /// wait, so the histogram reflects what the client experiences).
+    /// Server: worker-pool evaluation of one request, from the moment a
+    /// worker pops it (queue wait is [`Stage::QueueWait`]).
     Evaluate = 16,
     /// Server: encoding + flushing completed responses to a socket.
     Write = 17,
+    /// Server: one request's wait in the worker queue, from the event
+    /// loop's hand-off to a worker's pop.
+    QueueWait = 18,
 }
 
 /// Number of [`Stage`] variants (histogram array size).
-pub const STAGE_COUNT: usize = 18;
+pub const STAGE_COUNT: usize = 19;
 
 impl Stage {
     /// All stages, in tag order.
@@ -80,6 +83,7 @@ impl Stage {
         Stage::Readiness,
         Stage::Evaluate,
         Stage::Write,
+        Stage::QueueWait,
     ];
 
     /// Stable lower-case name (wire-independent; used by the text
@@ -104,6 +108,7 @@ impl Stage {
             Stage::Readiness => "readiness",
             Stage::Evaluate => "evaluate",
             Stage::Write => "write",
+            Stage::QueueWait => "queue_wait",
         }
     }
 

@@ -32,7 +32,7 @@ proptest! {
     }
 
     /// The histogram's quantile and the exact nearest-rank quantile over
-    /// the raw samples (the reservoir's definition,
+    /// the raw samples (`cpqx_engine::nearest_rank_quantile`'s definition,
     /// `rank = round((n-1) * p)`) land in the same log bucket, or
     /// adjacent ones — i.e. they agree to within the sketch's ≤12.5%
     /// relative error.

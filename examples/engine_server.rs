@@ -36,6 +36,7 @@
 use cpqx::engine::{BuildOptions, Delta, Engine, EngineOptions};
 use cpqx::graph::generate::{random_graph, sample_edges, RandomGraphConfig};
 use cpqx::net::{render_prometheus, Client, Server, ServerOptions};
+use cpqx::obs::Metric;
 use cpqx::query::workload::{GraphProbe, WorkloadGen};
 use cpqx::query::Template;
 use cpqx::store::{durable_engine, StoreOptions};
@@ -232,25 +233,7 @@ fn main() {
     );
 
     let stats = client.stats().expect("wire stats");
-    println!(
-        "stats: epoch={} queries={} hit_rate={:.1}% swaps={} p50={}us p99={}us \
-         requests[query={} batch={} stats={}] connections={} \
-         wal[appends={} bytes={}] snapshots[written={} chunks skipped={}]",
-        stats.epoch,
-        stats.queries,
-        stats.result_hit_rate() * 100.0,
-        stats.snapshot_swaps,
-        stats.p50_us,
-        stats.p99_us,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.stats_requests,
-        stats.connections,
-        stats.wal_appends,
-        stats.wal_bytes,
-        stats.snapshots_written,
-        stats.snapshot_chunks_skipped,
-    );
+    println!("stats: hit_rate={:.1}% {stats}", stats.result_hit_rate() * 100.0);
     if has_flag("metrics-dump") {
         let m = client.metrics().expect("wire metrics");
         println!("\n--- metrics dump (METRICS frame, Prometheus rendering) ---");
@@ -258,7 +241,8 @@ fn main() {
         if m.slow.is_empty() {
             println!("--- no slow queries captured ---");
         } else {
-            println!("--- {} slow queries captured, newest last ---", m.slow_total);
+            let total = m.get(Metric::SlowQueries).unwrap_or(0);
+            println!("--- {total} slow queries captured, newest last ---");
             for trace in &m.slow {
                 println!("{}", trace.render());
             }

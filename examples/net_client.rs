@@ -101,25 +101,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = client.stats()?;
     println!(
-        "stats: epoch={} queries={} hit_rate={:.1}% p50={}us p99={}us \
-         requests[ping={} query={} batch={} update={} delta={} stats={}] errors={} \
-         maint[deltas={} lazy_ops={} rebuilds={} frag={:.2}x]",
-        stats.epoch,
-        stats.queries,
+        "stats: hit_rate={:.1}% frag={:.2}x {stats}",
         stats.result_hit_rate() * 100.0,
-        stats.p50_us,
-        stats.p99_us,
-        stats.ping_requests,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.update_requests,
-        stats.delta_requests,
-        stats.stats_requests,
-        stats.error_responses,
-        stats.delta_transactions,
-        stats.lazy_update_ops,
-        stats.rebuilds,
-        stats.fragmentation_ratio(),
+        stats.fragmentation_ratio()
     );
 
     if let Some(server) = local {
